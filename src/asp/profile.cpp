@@ -144,6 +144,14 @@ std::string Profile::folded() const {
 }
 
 std::string Profile::summary(std::size_t top) const {
+  // " (file:line)" for resolved directives, " (rule N @ line:col)" for
+  // source rules with a known location, "" otherwise.
+  auto where = [](const Row& r) -> std::string {
+    if (!r.file.empty()) return " (" + r.file + ":" + std::to_string(r.line) + ")";
+    if (!r.loc_known) return {};
+    return " (rule " + std::to_string(r.rule_index) + " @ " +
+           std::to_string(r.line) + ":" + std::to_string(r.col) + ")";
+  };
   std::string out;
   auto table = [&](const char* title, const std::vector<Row>& v,
                    std::size_t limit) {
@@ -153,14 +161,7 @@ std::string Profile::summary(std::size_t top) const {
     std::size_t n = 0;
     for (const Row& r : v) {
       if (limit != 0 && n++ >= limit) break;
-      out += "  ";
-      out += r.name;
-      if (!r.file.empty()) {
-        out += " (" + r.file + ":" + std::to_string(r.line) + ")";
-      } else if (r.loc_known) {
-        out += " (rule " + std::to_string(r.rule_index) + " @ " +
-               std::to_string(r.line) + ":" + std::to_string(r.col) + ")";
-      }
+      out += "  " + r.name + where(r);
       out += "\n    score " + std::to_string(r.score()) +
              ", sat: " + std::to_string(r.sat.propagations) + " prop / " +
              std::to_string(r.sat.conflicts) + " confl / " +
@@ -172,6 +173,17 @@ std::string Profile::summary(std::size_t top) const {
   };
   table("hot directives:", directives, top);
   table("hot encoding predicates:", predicates, top);
+  if (!rules.empty()) {
+    out += "hot encoding rules:\n";
+    std::size_t n = 0;
+    for (const Row& r : rules) {
+      if (top != 0 && n++ >= top) break;
+      out += "  " + r.name + where(r) + "\n    ground: " +
+             std::to_string(r.ground.instantiations) + " inst / " +
+             std::to_string(r.ground.join_candidates) + " cand / " +
+             std::to_string(r.ground.seconds) + " s\n";
+    }
+  }
   table("buckets:", buckets, 0);
   return out;
 }
@@ -299,6 +311,17 @@ Profile aggregate_profile(const ProfileData& data, const Program& source) {
       continue;
     }
     const Rule& r = source.rules()[ri];
+    if (r.note.empty() && (gcost.instantiations != 0 ||
+                           gcost.join_candidates != 0 || gcost.seconds != 0)) {
+      Profile::Row rule_row;
+      rule_row.name = r.str();
+      rule_row.loc_known = r.loc.known();
+      rule_row.rule_index = static_cast<std::uint32_t>(ri);
+      rule_row.line = r.loc.line;
+      rule_row.col = r.loc.col;
+      rule_row.ground = gcost;
+      p.rules.push_back(std::move(rule_row));
+    }
     Profile::Row& row = r.note.empty()
                             ? merged_row(by_pred, head_pred(r))
                             : merged_row(by_note, r.note);
@@ -325,6 +348,10 @@ Profile aggregate_profile(const ProfileData& data, const Program& source) {
   };
   std::sort(p.directives.begin(), p.directives.end(), by_score);
   std::sort(p.predicates.begin(), p.predicates.end(), by_score);
+  std::stable_sort(p.rules.begin(), p.rules.end(),
+                   [](const Profile::Row& a, const Profile::Row& b) {
+                     return a.ground.seconds > b.ground.seconds;
+                   });
 
   // Buckets.  encoding-internal is the explicit rollup of the predicate
   // table: every unnoted source rule and unresolved completion lands there,

@@ -109,6 +109,10 @@ struct Profile {
   std::vector<Row> directives;  ///< non-empty Rule::note rows, hottest first
   std::vector<Row> predicates;  ///< unnoted encoding rules by head predicate
   std::vector<Row> buckets;     ///< encoding-internal, fact, loop-nogood, ...
+  /// Unnoted encoding rules one row each (name == Rule::str()), most ground
+  /// seconds first: the rule-level breakdown behind `predicates`.  Console
+  /// only; not part of the splice-profile-v1 payload.
+  std::vector<Row> rules;
 
   sat::SatStats sat_totals;
   GroundStats ground_totals;

@@ -51,18 +51,22 @@ node_used(P) :- attr("depends_on", node(Q), node(P), _T), attr("node", node(Q)).
 
 % ---- versions --------------------------------------------------------------
 1 { attr("version", node(P), V) : pkg_fact(P, version_declared(V, _W)) } 1 :- attr("node", node(P)).
-:- attr("version", node(P), V1), attr("version", node(P), V2), V1 < V2.
 
 % ---- variants ---------------------------------------------------------------
 1 { attr("variant", node(P), Var, Val) : pkg_fact(P, variant_value(Var, Val)) } 1 :- attr("node", node(P)), pkg_fact(P, variant(Var)).
+% Variants are the one imposed value that stays derived (see reuse below), so
+% they keep a pairwise guard against a second, imposed value.
 :- attr("variant", node(P), Var, V1), attr("variant", node(P), Var, V2), V1 < V2.
 variant_not_default(P, Var) :- attr("variant", node(P), Var, Val), pkg_fact(P, variant(Var)), not pkg_fact(P, variant_default(Var, Val)).
 
 % ---- os / target: one value per node, uniform across the DAG ---------------
+% Uniformity is checked on the set of values in use, linear in the nodes.
 1 { attr("node_os", node(P), O) : allowed_os(O) } 1 :- attr("node", node(P)).
 1 { attr("node_target", node(P), T) : allowed_target(T) } 1 :- attr("node", node(P)).
-:- attr("node_os", node(_P), O1), attr("node_os", node(_Q), O2), O1 < O2.
-:- attr("node_target", node(_P), T1), attr("node_target", node(_Q), T2), T1 < T2.
+dag_os(O) :- attr("node_os", node(_P), O).
+dag_target(T) :- attr("node_target", node(_P), T).
+:- dag_os(O1), dag_os(O2), O1 < O2.
+:- dag_target(T1), dag_target(T2), T1 < T2.
 
 % ---- virtual dependencies ---------------------------------------------------
 virtual_used(V) :- attr("virtual_dep", node(P), V), attr("node", node(P)).
@@ -73,18 +77,28 @@ attr("depends_on", node(P), node(R), "link") :- attr("virtual_dep", node(P), V),
 :- attr("node", node(P)), provides_now(P, V), virtual_used(V), not virtual_provider(V, P).
 
 % ---- reuse (paper §5.1.2) ---------------------------------------------------
+% Imposition constrains values the bounded choices above already pick; it
+% never derives a second value, so "one value per node" needs no pairwise
+% constraint.  Every imposed value lies in its choice's domain: imposed child
+% hashes are installed_hash facts (every sub-DAG node is registered, and the
+% reachability slice is closed over sub-DAGs), a hash imposition always comes
+% with a depends_on imposition that makes the child a node, and allowed_os /
+% allowed_target span every cache entry.  A cached spec whose version its
+% package no longer declares cannot be reused.
 { attr("hash", node(P), H) : installed_hash(P, H) } 1 :- attr("node", node(P)).
-:- attr("hash", node(P), H1), attr("hash", node(P), H2), H1 < H2.
 impose(H, node(P)) :- attr("hash", node(P), H), attr("node", node(P)).
 reused(P) :- attr("hash", node(P), _H), attr("node", node(P)).
 build(P) :- attr("node", node(P)), not reused(P).
 
-attr("version", node(P), V) :- impose(H, node(P)), imposed_constraint(H, "version", P, V).
-attr("variant", node(P), Var, Val) :- impose(H, node(P)), imposed_constraint(H, "variant", P, Var, Val).
-attr("node_os", node(P), O) :- impose(H, node(P)), imposed_constraint(H, "node_os", P, O).
-attr("node_target", node(P), T) :- impose(H, node(P)), imposed_constraint(H, "node_target", P, T).
+:- impose(H, node(P)), imposed_constraint(H, "version", P, V), not attr("version", node(P), V).
+:- impose(H, node(P)), imposed_constraint(H, "node_os", P, O), not attr("node_os", node(P), O).
+:- impose(H, node(P)), imposed_constraint(H, "node_target", P, T), not attr("node_target", node(P), T).
+:- impose(H, node(_P)), imposed_constraint(H, "hash", D, DH), not attr("hash", node(D), DH).
 attr("depends_on", node(P), node(D), "link") :- impose(H, node(P)), imposed_constraint(H, "depends_on", P, D).
-attr("hash", node(D), DH) :- impose(H, node(_P)), imposed_constraint(H, "hash", D, DH).
+% Variants stay derived: a cached spec may carry a variant its package no
+% longer declares, which has no choice rule to constrain, and reusing such a
+% spec must keep working.
+attr("variant", node(P), Var, Val) :- impose(H, node(P)), imposed_constraint(H, "variant", P, Var, Val).
 
 % ---- objectives --------------------------------------------------------------
 % Prefer the host platform: non-default os/target choices are penalized

@@ -256,6 +256,35 @@ TEST(ProfileAggregate, NotesBecomeDirectiveRows) {
   EXPECT_TRUE(has_unattributed);
 }
 
+TEST(ProfileAggregate, EncodingRulesRowPerSourceRule) {
+  Program p = pigeonhole(4);
+  SolveResult r = profiled_solve(p);
+  ASSERT_NE(r.profile, nullptr);
+  Profile prof = aggregate_profile(*r.profile, p);
+  ASSERT_FALSE(prof.rules.empty());
+  // One row per unnoted source rule, named by its text, slowest first.
+  const Profile::Row* widest = &prof.rules.front();
+  for (std::size_t i = 0; i < prof.rules.size(); ++i) {
+    const Profile::Row& row = prof.rules[i];
+    ASSERT_TRUE(row.loc_known);
+    ASSERT_LT(row.rule_index, p.rules().size());
+    EXPECT_EQ(row.name, p.rules()[row.rule_index].str());
+    if (i > 0) {
+      EXPECT_LE(row.ground.seconds, prof.rules[i - 1].ground.seconds);
+    }
+    if (row.ground.join_candidates > widest->ground.join_candidates) {
+      widest = &row;
+    }
+  }
+  // The pairwise constraint scans the most join candidates.
+  EXPECT_EQ(widest->name, p.rules().back().str());
+  std::string summary = prof.summary(3);
+  EXPECT_NE(summary.find("hot encoding rules:"), std::string::npos);
+  EXPECT_NE(summary.find(prof.rules.front().name), std::string::npos);
+  // Console only: the splice-profile-v1 payload is unchanged.
+  EXPECT_EQ(prof.to_json().find("rules"), nullptr);
+}
+
 TEST(ProfileAggregate, JsonAndFoldedShapes) {
   SolveResult r = profiled_solve(pigeonhole(4));
   ASSERT_NE(r.profile, nullptr);

@@ -31,7 +31,8 @@ void usage(std::FILE* out) {
                "\n"
                "Concretize the root-specs (together, as one environment) "
                "against the\nsynthetic RADIUSS workload with cost profiling "
-               "enabled and report the\nhottest package directives.\n"
+               "enabled and report the\nhottest package directives and "
+               "encoding rules.\n"
                "\n"
                "options:\n"
                "  --json FILE    splice-profile-v1 JSON report\n"
