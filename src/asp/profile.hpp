@@ -121,7 +121,7 @@ struct Profile {
   std::uint64_t learned_without_origin = 0;
 
   /// The splice-profile-v1 payload minus the envelope (schema / requests),
-  /// which the caller supplies (concretize::ProfileReport, splice_profile).
+  /// which the caller supplies (concretize::ProfileReport, splice profile).
   json::Value to_json() const;
 
   /// Brendan-Gregg folded stacks ("layer;counter;row count" lines), ready

@@ -12,7 +12,7 @@
 // source rules, compiler notes and locations); splice mode reports every
 // splice candidate the solver considered, whether it was executed, and why
 // not when it wasn't.  tools/trace_check validates the schema;
-// tools/splice_explain produces it.
+// `splice explain` (tools/splice.cpp) produces it.
 #pragma once
 
 #include <cstdint>

@@ -1,6 +1,6 @@
 // Chrome trace-event JSON construction (the chrome://tracing / Perfetto
 // format), shared by every exporter: the tracer's chrome_trace() and the
-// flight recorder's dump conversion (splice_flight chrome).  One place owns
+// flight recorder's dump conversion (splice flight chrome).  One place owns
 // the event-object shape and the document envelope so the two stay
 // loadable by the same viewers.
 #pragma once

@@ -14,8 +14,8 @@
 //     nest (per-predicate ground-atom counts, rewire bytes written).
 //   * Exporters — Chrome trace-event JSON (`chrome_trace`, loadable in
 //     chrome://tracing and Perfetto) and a flat stats JSON (`stats_json`,
-//     schema "splice-stats-v1") that the bench harness and the splice_trace
-//     CLI both emit, so every perf claim in this repo reports through one
+//     schema "splice-stats-v1") that the bench harness and `splice run
+//     --stats` both emit, so every perf claim in this repo reports through one
 //     format.
 //
 // Environment hook: setting SPLICE_TRACE=<file> enables the global tracer

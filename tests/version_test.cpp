@@ -1,5 +1,7 @@
 // Unit + property tests for versions and version constraints.
 #include <gtest/gtest.h>
+#include <string>
+#include <utility>
 
 #include "src/spec/version.hpp"
 #include "src/support/error.hpp"
@@ -152,13 +154,15 @@ TEST_P(VersionOrderTest, TotalOrderLaws) {
 INSTANTIATE_TEST_SUITE_P(Seeds, VersionOrderTest, ::testing::Values(0, 3, 7));
 
 // Property: subset_of implies intersects, and includes is monotone under
-// constrain.
+// constrain. The parameters are std::string, not const char*, so the printed
+// parameter (and with it the discovered test name) is the constraint text
+// rather than a load address that changes from run to run.
 class ConstraintPropertyTest
-    : public ::testing::TestWithParam<std::pair<const char*, const char*>> {};
+    : public ::testing::TestWithParam<std::pair<std::string, std::string>> {};
 
 TEST_P(ConstraintPropertyTest, SubsetImpliesIntersects) {
-  auto [a_text, b_text] = GetParam();
-  VersionConstraint a = vc(a_text), b = vc(b_text);
+  const auto& [a_text, b_text] = GetParam();
+  VersionConstraint a = vc(a_text.c_str()), b = vc(b_text.c_str());
   if (a.subset_of(b)) {
     EXPECT_TRUE(a.intersects(b)) << a_text << " vs " << b_text;
   }
@@ -178,10 +182,13 @@ TEST_P(ConstraintPropertyTest, SubsetImpliesIntersects) {
 
 INSTANTIATE_TEST_SUITE_P(
     Pairs, ConstraintPropertyTest,
-    ::testing::Values(std::pair{"1.2", "1.2:1.4"}, std::pair{"1.2:1.4", "1.3:"},
-                      std::pair{"=1.2.11", "1.2"}, std::pair{":1.4", "1.2:"},
-                      std::pair{"1.2:1.4,1.6", "1.3:1.7"},
-                      std::pair{"1.2", "1.3"}));
+    ::testing::Values(std::pair<std::string, std::string>{"1.2", "1.2:1.4"},
+                      std::pair<std::string, std::string>{"1.2:1.4", "1.3:"},
+                      std::pair<std::string, std::string>{"=1.2.11", "1.2"},
+                      std::pair<std::string, std::string>{":1.4", "1.2:"},
+                      std::pair<std::string, std::string>{"1.2:1.4,1.6",
+                                                          "1.3:1.7"},
+                      std::pair<std::string, std::string>{"1.2", "1.3"}));
 
 }  // namespace
 }  // namespace splice::spec

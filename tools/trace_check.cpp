@@ -1,13 +1,13 @@
 // trace_check: structural validator for the formats this repo emits —
-// Chrome trace-event files (splice_trace / SPLICE_TRACE), stats files
+// Chrome trace-event files (splice run --trace / SPLICE_TRACE), stats files
 // (schema "splice-stats-v1"), bench result files (schema "splice-bench-v1"),
-// explanation documents (schema "splice-explain-v1", from splice_explain),
-// solver cost profiles (schema "splice-profile-v1", from splice_profile),
+// explanation documents (schema "splice-explain-v1", from splice explain),
+// solver cost profiles (schema "splice-profile-v1", from splice profile),
 // repository audit reports (schema "repo-audit-v1", from repo_audit),
 // incremental audit caches (schema "repo-audit-cache-v1", from
 // repo_audit --incremental),
 // flight recordings (schema "splice-flight-v1", from the flight recorder /
-// splice_flight), and Prometheus text exposition (*.prom, or any input not
+// splice run --flight), and Prometheus text exposition (*.prom, or any input not
 // starting with '{'; from MetricsRegistry::metrics_text).  CI runs it over
 // the artifacts a workload resolution produces; exit 0 means every file
 // validated.
