@@ -90,8 +90,7 @@ double Profile::Row::score() const {
          static_cast<double>(sat.participations) +
          0.1 * static_cast<double>(sat.propagations) +
          static_cast<double>(ground.instantiations) +
-         0.05 * static_cast<double>(ground.join_candidates) +
-         1e6 * ground.seconds;
+         0.05 * static_cast<double>(ground.join_candidates);
 }
 
 json::Value Profile::Row::to_json() const {
@@ -343,11 +342,15 @@ Profile aggregate_profile(const ProfileData& data, const Program& source) {
 
   for (auto& [name, row] : by_note) p.directives.push_back(std::move(row));
   for (auto& [name, row] : by_pred) p.predicates.push_back(std::move(row));
-  auto by_score = [](const Profile::Row& a, const Profile::Row& b) {
-    return a.score() > b.score();
+  // Hottest first.  Rows whose counters tie (say two request rows of one
+  // instance each) differ in ground time only by timer noise, so the name,
+  // not the clock, breaks ties.
+  auto hotter = [](const Profile::Row& a, const Profile::Row& b) {
+    if (a.score() != b.score()) return a.score() > b.score();
+    return a.name < b.name;
   };
-  std::sort(p.directives.begin(), p.directives.end(), by_score);
-  std::sort(p.predicates.begin(), p.predicates.end(), by_score);
+  std::sort(p.directives.begin(), p.directives.end(), hotter);
+  std::sort(p.predicates.begin(), p.predicates.end(), hotter);
   std::stable_sort(p.rules.begin(), p.rules.end(),
                    [](const Profile::Row& a, const Profile::Row& b) {
                      return a.ground.seconds > b.ground.seconds;

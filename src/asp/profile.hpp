@@ -97,10 +97,12 @@ struct Profile {
     sat::SatProfile::OriginCost sat;
     GroundCost ground;
 
-    /// Unitless hotness: a heuristic blend that lets directives with pure
-    /// grounding cost and directives with pure search cost share one
-    /// ranking.  Conflicts dominate (each implies a full 1UIP analysis);
-    /// ground wall time is scaled to microseconds so it competes.
+    /// Unitless hotness: a heuristic blend of deterministic counters that
+    /// lets directives with pure grounding cost and directives with pure
+    /// search cost share one ranking.  Conflicts dominate (each implies a
+    /// full 1UIP analysis).  Wall time is left out, so the same program
+    /// ranks the same way on every run; rows with equal scores rank by
+    /// name.
     double score() const;
 
     json::Value to_json() const;

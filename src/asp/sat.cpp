@@ -65,6 +65,7 @@ Var Solver::new_var() {
   assigns_.push_back(Value::Undef);
   level_.push_back(0);
   reason_.push_back(kNoReason);
+  trail_pos_.push_back(0);
   activity_.push_back(0);
   phase_.push_back(false);
   model_.push_back(false);
@@ -178,6 +179,7 @@ bool Solver::enqueue(Lit l, ClauseRef reason) {
   assigns_[x] = is_pos(l) ? Value::True : Value::False;
   level_[x] = static_cast<std::uint32_t>(trail_lim_.size());
   reason_[x] = reason;
+  trail_pos_[x] = static_cast<std::uint32_t>(trail_.size());
   phase_[x] = is_pos(l);
   trail_.push_back(l);
   // PB bookkeeping is symmetric with backtrack(): every literal on the trail
@@ -193,11 +195,13 @@ Solver::ClauseRef Solver::propagate() {
     Lit p = trail_[qhead_++];
     ++stats_.propagations;
     if (profile_) {
-      // Attribute the pop to the clause that implied p; decisions,
+      // Attribute the pop to the clause or PB that implied p; decisions,
       // assumptions and reason-less enqueues land in `unattributed`.
       ClauseRef r = reason_[var_of(p)];
-      ++origin_cost(r == kNoReason ? kNoOrigin : clauses_[r].origin)
-            .propagations;
+      Origin o = r == kNoReason      ? kNoOrigin
+                 : (r & kPbTag) != 0 ? pbs_[r & ~kPbTag].origin
+                                     : clauses_[r].origin;
+      ++origin_cost(o).propagations;
     }
     Lit false_lit = negate(p);
     std::vector<ClauseRef>& wl = watches_[false_lit];
@@ -268,23 +272,39 @@ Solver::ClauseRef Solver::propagate_pb(Lit p) {
       return attach_clause(std::move(confl), true, /*watch=*/false, pb.origin);
     }
     // Strengthen: any unassigned term that would overflow must be false.
+    // Above level 0 the literal carries a tagged reason that reason_of()
+    // explains only if conflict analysis reaches it; at level 0 it needs
+    // none.
     std::int64_t slack = pb.bound - pb.sum;
     if (slack < pb.max_weight) {
+      ClauseRef reason = trail_lim_.empty() ? kNoReason : (kPbTag | w.pb);
       for (auto [l, tw] : pb.terms) {
-        if (tw > slack && value(l) == Value::Undef) {
-          std::vector<Lit> reason = pb_conflict_clause(pb);
-          reason.insert(reason.begin(), negate(l));
-          ClauseRef ref = kNoReason;
-          if (reason.size() >= 2) {
-            ref = attach_clause(std::move(reason), true, /*watch=*/true,
-                                pb.origin);
-          }
-          enqueue(negate(l), ref);
-        }
+        if (tw > slack && value(l) == Value::Undef) enqueue(negate(l), reason);
       }
     }
   }
   return kNoReason;
+}
+
+Solver::ClauseRef Solver::reason_of(Var v) {
+  ClauseRef r = reason_[v];
+  if (r == kNoReason || (r & kPbTag) == 0) return r;
+  // The PB's true terms above level 0 that precede v on the trail are
+  // exactly the ones counted when it strengthened v.  Later terms are
+  // excluded: they may themselves depend on v.
+  const PbConstraint& pb = pbs_[r & ~kPbTag];
+  std::vector<Lit> lits{mk_lit(v, assigns_[v] == Value::True)};
+  for (auto [l, w] : pb.terms) {
+    Var x = var_of(l);
+    if (value(l) == Value::True && level_[x] > 0 &&
+        trail_pos_[x] < trail_pos_[v]) {
+      lits.push_back(negate(l));
+    }
+  }
+  r = attach_clause(std::move(lits), /*learned=*/false, /*watch=*/false,
+                    pb.origin);
+  reason_[v] = r;
+  return r;
 }
 
 void Solver::analyze(ClauseRef confl, std::vector<Lit>& learnt,
@@ -333,7 +353,7 @@ void Solver::analyze(ClauseRef confl, std::vector<Lit>& learnt,
     p = trail_[--idx];
     p_valid = true;
     seen_[var_of(p)] = false;
-    reason_ref = reason_[var_of(p)];
+    reason_ref = reason_of(var_of(p));
     if (--counter == 0) break;
     // Reason clauses keep their implied literal at position 0; restore that
     // invariant defensively in case watch maintenance reordered it.
@@ -453,10 +473,9 @@ Solver::Result Solver::solve(const std::vector<Lit>& assumptions) {
 /// negation entailed by the earlier assumptions.  Walks the implication
 /// graph backwards from the trail top and collects the assumption
 /// *decisions* the entailment rests on; final_core_ receives `p` plus that
-/// subset.  Non-assumption literals without a reason clause (PB
-/// strengthening enqueues a literal reason-less when its support clause
-/// would be unit) are ignored: their support is entirely level 0, so they
-/// do not depend on any assumption.
+/// subset.  The walk skips level 0, whose literals depend on no
+/// assumption.  Lazily explained PB propagations are explained here as in
+/// analyze().
 void Solver::analyze_final(Lit p) {
   final_core_.clear();
   final_core_.push_back(p);
@@ -467,10 +486,11 @@ void Solver::analyze_final(Lit p) {
     Var x = var_of(trail_[i]);
     if (!seen_[x]) continue;
     seen_[x] = false;
-    if (reason_[x] == kNoReason) {
+    ClauseRef r = reason_of(x);
+    if (r == kNoReason) {
       if (assumption_mark_[x]) final_core_.push_back(trail_[i]);
     } else {
-      const Clause& c = clauses_[reason_[x]];
+      const Clause& c = clauses_[r];
       for (Lit q : c.lits) {
         Var v = var_of(q);
         if (v != x && level_[v] > 0) seen_[v] = true;

@@ -8,6 +8,17 @@
 // analysis, VSIDS decision heuristic with phase saving, Luby restarts, and
 // activity-based learned-clause reduction.
 //
+// PB propagation is lazily explained.  A PB that forces a literal false
+// above level 0 records `kPbTag | pb index` as the literal's reason instead
+// of attaching a clause; the explanation (the PB's true literals above
+// level 0 that precede the forced one on the trail) is built only when
+// conflict analysis or analyze_final resolves on it, then cached as an
+// unwatched clause.  Conflicts are rare next to PB propagations in the
+// concretizer's programs, so most propagations are never explained.  PB
+// *conflict* clauses are still built eagerly.
+// SatStats::learned counts 1UIP learnt clauses and PB conflict clauses; it
+// does not count PB reason clauses.
+//
 // Incremental use: clauses and PB constraints may be added between solve()
 // calls (only at decision level 0, which solve() restores on return); the
 // optimization driver uses this to tighten objective bounds, and the ASP
@@ -46,7 +57,7 @@ struct SatStats {
   std::uint64_t conflicts = 0;
   std::uint64_t propagations = 0;
   std::uint64_t restarts = 0;
-  std::uint64_t learned = 0;
+  std::uint64_t learned = 0;  ///< 1UIP learnts + PB conflict clauses
   std::uint64_t deleted = 0;
 
   /// Flat object, one field per counter (stats-JSON schema leaf).
@@ -71,8 +82,9 @@ using ProgressFn = std::function<void(const Progress&)>;
 /// every propagation/conflict increments exactly one bucket, so
 ///   sum(per_origin[*].propagations) + unattributed.propagations
 /// equals the SatStats::propagations accumulated while profiling (and the
-/// same for conflicts).  `unattributed` collects work with no reason clause:
-/// decisions, assumptions, and reason-less PB strengthening enqueues.
+/// same for conflicts).  `unattributed` collects work with no reason:
+/// decisions, assumptions, and level-0 units.  A PB strengthening counts
+/// against the PB's origin whether or not its reason was ever explained.
 struct SatProfile {
   struct OriginCost {
     std::uint64_t propagations = 0;    ///< trail pops implied by this origin
@@ -158,6 +170,9 @@ class Solver {
  private:
   using ClauseRef = std::uint32_t;
   static constexpr ClauseRef kNoReason = 0xffffffffu;
+  /// A reason with this bit set is `kPbTag | pb index`: a PB strengthening
+  /// whose explanation clause reason_of() has not built yet.
+  static constexpr ClauseRef kPbTag = 0x80000000u;
 
   struct Clause {
     std::vector<Lit> lits;
@@ -190,6 +205,9 @@ class Solver {
 
   Result search(const std::vector<Lit>& assumptions);
   void analyze_final(Lit p);
+  /// reason_[v] as a clause: builds (once) and caches the explanation of a
+  /// lazily explained PB propagation; other reasons pass through.
+  ClauseRef reason_of(Var v);
   bool enqueue(Lit l, ClauseRef reason);
   ClauseRef propagate();
   ClauseRef propagate_pb(Lit assigned_true);
@@ -218,7 +236,8 @@ class Solver {
 
   std::vector<Value> assigns_;
   std::vector<std::uint32_t> level_;
-  std::vector<ClauseRef> reason_;
+  std::vector<ClauseRef> reason_;  // clause ref, kPbTag | pb, or kNoReason
+  std::vector<std::uint32_t> trail_pos_;  // var -> index on trail_ when set
   std::vector<Lit> trail_;
   std::vector<std::uint32_t> trail_lim_;
   std::size_t qhead_ = 0;

@@ -1,5 +1,6 @@
 #include "src/asp/term.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <deque>
 #include <memory>
@@ -23,32 +24,111 @@ namespace {
 
 using detail::TermData;
 
-struct Key {
-  TermKind kind;
-  std::int64_t int_value;
-  std::uint32_t name_id;
-  std::span<const Term> args;
+/// Final avalanche (splitmix64's): both halves of the result depend on every
+/// input bit, so the high half can serve as a hash fragment while the low bits
+/// of the same fragment pick the probe start.
+std::uint64_t mix64(std::uint64_t x) {
+  x += 0x9e3779b97f4a7c15ULL;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
+}
 
-  bool operator==(const Key& o) const {
-    if (kind != o.kind || int_value != o.int_value || name_id != o.name_id ||
-        args.size() != o.args.size()) {
-      return false;
-    }
-    for (std::size_t i = 0; i < args.size(); ++i) {
-      if (args[i] != o.args[i]) return false;
-    }
-    return true;
-  }
-};
+std::uint64_t key_hash(TermKind kind, std::int64_t iv, std::uint32_t name_id,
+                       std::span<const Term> args) {
+  std::uint64_t h = static_cast<std::uint64_t>(kind) * 0x9e3779b97f4a7c15ULL;
+  h = (h ^ static_cast<std::uint64_t>(iv)) * 1099511628211ULL;
+  h = (h ^ name_id) * 1099511628211ULL;
+  for (Term t : args) h = (h ^ t.id()) * 1099511628211ULL;
+  return mix64(h ^ args.size());
+}
 
-struct KeyHash {
-  std::size_t operator()(const Key& k) const noexcept {
-    std::size_t h = static_cast<std::size_t>(k.kind) * 0x9e3779b97f4a7c15ULL;
-    h ^= std::hash<std::int64_t>{}(k.int_value) + (h << 6);
-    h ^= k.name_id * 0x9e3779b97f4a7c15ULL + (h << 6);
-    for (Term t : k.args) h = h * 1099511628211ULL + t.id();
-    return h;
+std::uint64_t name_hash(std::string_view name) {
+  std::uint64_t h = 1469598103934665603ULL;  // FNV-1a
+  for (unsigned char c : name) h = (h ^ c) * 1099511628211ULL;
+  return mix64(h);
+}
+
+/// Flat open-addressing index from a key to a dense id, with a lock-free
+/// read side.  Each slot is one atomic 64-bit word packing the key's 32-bit
+/// hash fragment (high half) and id + 1 (low half; 0 marks an empty slot),
+/// so a probe compares hash words and consults the caller's key store only
+/// on a fragment match.  The fragment alone picks the probe start, so growth
+/// re-places words without touching the key store.
+///
+/// find() takes no lock: an acquire load of the table pointer, then acquire
+/// loads of the slots.  insert() must run under the owner's writer lock and
+/// publishes each slot with a release store, after the caller has written
+/// the keyed data — so a reader that sees the slot also sees that data.  On
+/// growth the new table is published with a release store and the
+/// superseded one is retired into a keep-alive list (as PagedStore keeps
+/// its directories): a reader still probing it sees a consistent, merely
+/// stale table, and a miss there sends the caller to the locked re-probe.
+class FlatIndex {
+ public:
+  static constexpr std::uint32_t kMissing = 0xffffffffu;
+
+  FlatIndex() { publish(kInitialSlots); }
+
+  /// Id of the key with hash `hash` for which `same(id)` holds, or kMissing.
+  template <typename Same>
+  std::uint32_t find(std::uint64_t hash, Same&& same) const {
+    const Slots* t = table_.load(std::memory_order_acquire);
+    auto frag = static_cast<std::uint32_t>(hash >> 32);
+    for (std::size_t i = frag & t->mask;; i = (i + 1) & t->mask) {
+      std::uint64_t word = t->slots[i].load(std::memory_order_acquire);
+      if (word == 0) return kMissing;
+      if (static_cast<std::uint32_t>(word >> 32) == frag) {
+        auto id = static_cast<std::uint32_t>(word) - 1;
+        if (same(id)) return id;
+      }
+    }
   }
+
+  /// Add a key known to be absent.  Writer lock held.
+  void insert(std::uint64_t hash, std::uint32_t id) {
+    if ((count_ + 1) * 2 > tables_.back()->mask + 1) {
+      publish((tables_.back()->mask + 1) * 2);
+    }
+    place(*tables_.back(), (hash & 0xffffffff00000000ULL) | (id + 1ULL),
+          std::memory_order_release);
+    ++count_;
+  }
+
+ private:
+  static constexpr std::size_t kInitialSlots = 1024;
+
+  struct Slots {
+    std::size_t mask;
+    std::unique_ptr<std::atomic<std::uint64_t>[]> slots;
+  };
+
+  static void place(Slots& t, std::uint64_t word, std::memory_order order) {
+    std::size_t i = (word >> 32) & t.mask;
+    while (t.slots[i].load(std::memory_order_relaxed) != 0) {
+      i = (i + 1) & t.mask;
+    }
+    t.slots[i].store(word, order);
+  }
+
+  /// Build a table of `n` slots holding every current word, then publish it.
+  void publish(std::size_t n) {
+    auto t = std::make_unique<Slots>(
+        Slots{n - 1, std::make_unique<std::atomic<std::uint64_t>[]>(n)});
+    if (!tables_.empty()) {
+      const Slots& old = *tables_.back();
+      for (std::size_t i = 0; i <= old.mask; ++i) {
+        std::uint64_t word = old.slots[i].load(std::memory_order_relaxed);
+        if (word != 0) place(*t, word, std::memory_order_relaxed);
+      }
+    }
+    table_.store(t.get(), std::memory_order_release);
+    tables_.push_back(std::move(t));  // back() is live; the rest are retired
+  }
+
+  std::atomic<const Slots*> table_{nullptr};
+  std::vector<std::unique_ptr<Slots>> tables_;
+  std::size_t count_ = 0;
 };
 
 /// Append-only arena for argument spans: fixed-size chunks, so handed-out
@@ -118,10 +198,12 @@ class PagedStore {
 // pages whose addresses are stable across growth (the page directory backing
 // `detail::g_term_pages` is republished under the lock whenever a page is
 // added), and argument spans live in the chunked arena.  Entries never
-// mutate after insertion, so accessors read without the lock: the engine is
-// single-threaded per solve, but the parallel repository auditor compiles
-// one program per package across worker threads, so interning and reading
-// race by design and every read path must be data-race-free (TSan-clean).
+// mutate after insertion.  A lookup that finds an existing name or term
+// takes no lock (FlatIndex::find); only a miss takes `mu_`, re-probes and
+// inserts.  The engine is single-threaded per solve, but the concretizer
+// pool and the parallel repository auditor intern across worker threads, so
+// every read path must be data-race-free (TSan-clean).  Ids are assigned in
+// insertion order under the lock, so they stay dense.
 class Table {
  public:
   static Table& instance() {
@@ -131,16 +213,27 @@ class Table {
 
   std::uint32_t intern(TermKind kind, std::int64_t iv, std::string_view name,
                        std::span<const Term> args) {
+    std::uint64_t nh = name_hash(name);
+    std::uint32_t name_id = find_name(nh, name);
+    if (name_id != FlatIndex::kMissing) {
+      return intern_named(kind, iv, name_id, args);
+    }
     std::lock_guard<std::mutex> lock(mu_);
-    return intern_locked(kind, iv, intern_name(name), args);
+    name_id = intern_name_locked(nh, name);
+    return intern_locked(key_hash(kind, iv, name_id, args), kind, iv, name_id,
+                         args);
   }
 
-  /// Intern a Fun sharing functor (name id, and therefore signature) with an
-  /// existing term of the same arity — no string hashing.
-  std::uint32_t intern_fun_like(std::uint32_t name_id,
-                                std::span<const Term> args) {
+  /// Intern a term whose name is already interned as `name_id` — no string
+  /// hashing.  Term::fun_like reaches it directly with its prototype's name.
+  std::uint32_t intern_named(TermKind kind, std::int64_t iv,
+                             std::uint32_t name_id,
+                             std::span<const Term> args) {
+    std::uint64_t h = key_hash(kind, iv, name_id, args);
+    std::uint32_t id = find_term(h, kind, iv, name_id, args);
+    if (id != FlatIndex::kMissing) return id;
     std::lock_guard<std::mutex> lock(mu_);
-    return intern_locked(TermKind::Fun, 0, name_id, args);
+    return intern_locked(h, kind, iv, name_id, args);
   }
 
   std::string_view name_of(std::uint32_t name_id) const {
@@ -149,7 +242,7 @@ class Table {
 
   SigId intern_sig(std::string_view name, std::size_t arity) {
     std::lock_guard<std::mutex> lock(mu_);
-    return intern_sig_locked(intern_name(name), arity);
+    return intern_sig_locked(intern_name_locked(name_hash(name), name), arity);
   }
 
   std::string sig_str(SigId sig) const {
@@ -160,12 +253,26 @@ class Table {
   std::size_t size() const { return count_.load(std::memory_order_acquire); }
 
  private:
-  std::uint32_t intern_locked(TermKind kind, std::int64_t iv,
+  std::uint32_t find_term(std::uint64_t h, TermKind kind, std::int64_t iv,
+                          std::uint32_t name_id,
+                          std::span<const Term> args) const {
+    return index_.find(h, [&](std::uint32_t id) {
+      const TermData& d = terms_.at(id);
+      return d.kind == kind && d.int_value == iv && d.name_id == name_id &&
+             std::equal(args.begin(), args.end(), d.args, d.args + d.nargs);
+    });
+  }
+
+  std::uint32_t find_name(std::uint64_t h, std::string_view name) const {
+    return name_index_.find(
+        h, [&](std::uint32_t id) { return names_.at(id) == name; });
+  }
+
+  std::uint32_t intern_locked(std::uint64_t h, TermKind kind, std::int64_t iv,
                               std::uint32_t name_id,
                               std::span<const Term> args) {
-    Key key{kind, iv, name_id, args};
-    auto it = index_.find(key);
-    if (it != index_.end()) return it->second;
+    std::uint32_t found = find_term(h, kind, iv, name_id, args);
+    if (found != FlatIndex::kMissing) return found;
     TermData data;
     data.kind = kind;
     data.int_value = iv;
@@ -182,18 +289,18 @@ class Table {
     detail::g_term_pages.store(
         terms_.dir().load(std::memory_order_relaxed), std::memory_order_release);
     count_.store(id + 1, std::memory_order_release);
-    index_.emplace(Key{kind, iv, name_id, stored_args}, id);
+    index_.insert(h, id);
     return id;
   }
 
-  std::uint32_t intern_name(std::string_view name) {
-    auto it = name_ids_.find(name);
-    if (it != name_ids_.end()) return it->second;
+  std::uint32_t intern_name_locked(std::uint64_t h, std::string_view name) {
+    std::uint32_t found = find_name(h, name);
+    if (found != FlatIndex::kMissing) return found;
     name_storage_.emplace_back(name);
     auto id = static_cast<std::uint32_t>(name_count_);
     names_.append(id) = name_storage_.back();
     ++name_count_;
-    name_ids_.emplace(name_storage_.back(), id);
+    name_index_.insert(h, id);
     return id;
   }
 
@@ -213,12 +320,12 @@ class Table {
   ArgArena args_;
   PagedStore<TermData, detail::kTermPageShift> terms_;
   std::atomic<std::size_t> count_{0};
-  std::unordered_map<Key, std::uint32_t, KeyHash> index_;
+  FlatIndex index_;  // term key -> term id
 
   std::deque<std::string> name_storage_;          // stable string bodies
   PagedStore<std::string_view, 10> names_;        // name_id -> spelling
   std::size_t name_count_ = 0;
-  std::unordered_map<std::string_view, std::uint32_t> name_ids_;
+  FlatIndex name_index_;  // spelling -> name_id
 
   PagedStore<std::pair<std::uint32_t, std::uint32_t>, 10> sigs_;  // (name, arity)
   std::size_t sig_count_ = 0;
@@ -252,7 +359,8 @@ Term Term::fun(std::string_view name, std::initializer_list<Term> args) {
 }
 
 Term Term::fun_like(Term proto, std::span<const Term> args) {
-  return Term(Table::instance().intern_fun_like(proto.data_().name_id, args));
+  return Term(Table::instance().intern_named(TermKind::Fun, 0,
+                                                proto.data_().name_id, args));
 }
 
 std::string_view Term::name() const {

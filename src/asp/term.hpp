@@ -11,8 +11,11 @@
 // (one id per distinct spelling), argument vectors live in chunked,
 // address-stable arenas (spans stay valid forever), and every term carries a
 // precomputed interned *signature id* (`name/arity`) so the grounder's
-// per-predicate bookkeeping never touches strings.  The arena is append-only
-// and guarded by a mutex; handles are stable for the lifetime of the process.
+// per-predicate bookkeeping never touches strings.  The arena is append-only;
+// handles are stable for the lifetime of the process.  Names and terms are
+// found through flat open-addressing indexes whose slots are single atomic
+// words (hash fragment + id): interning a term that already exists takes no
+// lock, and only a miss takes the writer mutex to re-probe and insert.
 #pragma once
 
 #include <atomic>

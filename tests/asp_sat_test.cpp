@@ -1,7 +1,9 @@
 // Unit tests for the CDCL core and PB propagators, used directly.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
+#include <random>
 
 #include "src/asp/sat.hpp"
 
@@ -284,6 +286,165 @@ TEST(SatAssumptions, FinalCoreThroughPbPropagation) {
   EXPECT_EQ(s.solve(core), R::Unsat);
   EXPECT_EQ(s.solve({mk_lit(a, true)}), R::Sat);
   EXPECT_EQ(s.solve({mk_lit(b, true)}), R::Sat);
+}
+
+TEST(SatAssumptions, FinalCoreThroughLazyPbReason) {
+  // x -> a (clause); 2a + 2v + c <= 3 (PB); !v -> c (clause).  Assuming x
+  // makes a true, the PB forces !v with a lazily explained reason, and the
+  // clause then makes c true, a PB term set *after* !v on the trail.
+  // Assuming !c fails; analyze_final must explain !v by {a} alone (c came
+  // later) and trace a back to x.  The bystander assumption y stays out.
+  Solver s;
+  Var x = s.new_var(), a = s.new_var(), v = s.new_var(), c = s.new_var(),
+      y = s.new_var();
+  s.add_clause({mk_lit(x, false), mk_lit(a, true)});
+  s.add_clause({mk_lit(v, true), mk_lit(c, true)});
+  s.add_pb_le({{mk_lit(a, true), 2}, {mk_lit(v, true), 2}, {mk_lit(c, true), 1}},
+              3);
+  std::uint64_t learned = s.stats().learned;
+  EXPECT_EQ(s.solve({mk_lit(y, true), mk_lit(x, true), mk_lit(c, false)}),
+            R::Unsat);
+  EXPECT_FALSE(s.in_conflict());
+  std::vector<Lit> core = s.final_core();
+  std::sort(core.begin(), core.end());
+  std::vector<Lit> want = {mk_lit(x, true), mk_lit(c, false)};
+  std::sort(want.begin(), want.end());
+  EXPECT_EQ(core, want);
+  // Explaining a PB propagation is not learning.
+  EXPECT_EQ(s.stats().learned, learned);
+  EXPECT_EQ(s.solve(core), R::Unsat);
+  EXPECT_EQ(s.solve({mk_lit(x, true)}), R::Sat);
+  EXPECT_TRUE(s.model_value(c));
+  EXPECT_FALSE(s.model_value(v));
+  EXPECT_EQ(s.solve(), R::Sat);
+}
+
+// ---- brute-force oracle over random clause + PB instances -------------------
+
+struct RandomInstance {
+  int vars = 0;
+  std::vector<std::vector<Lit>> clauses;
+  std::vector<std::pair<std::vector<std::pair<Lit, std::int64_t>>, std::int64_t>>
+      pbs;
+
+  static bool lit_true(Lit l, std::uint32_t m) {
+    return (((m >> var_of(l)) & 1u) != 0) == is_pos(l);
+  }
+  bool satisfied(std::uint32_t m) const {
+    for (const auto& c : clauses) {
+      if (std::none_of(c.begin(), c.end(),
+                       [&](Lit l) { return lit_true(l, m); })) {
+        return false;
+      }
+    }
+    for (const auto& [terms, bound] : pbs) {
+      std::int64_t sum = 0;
+      for (auto [l, w] : terms) sum += lit_true(l, m) ? w : 0;
+      if (sum > bound) return false;
+    }
+    return true;
+  }
+  /// Some model extends `assumed`.
+  bool sat_under(const std::vector<Lit>& assumed) const {
+    for (std::uint32_t m = 0; m < (1u << vars); ++m) {
+      if (std::all_of(assumed.begin(), assumed.end(),
+                      [&](Lit l) { return lit_true(l, m); }) &&
+          satisfied(m)) {
+        return true;
+      }
+    }
+    return false;
+  }
+};
+
+RandomInstance random_instance(std::mt19937& rng) {
+  auto pick = [&](int lo, int hi) {
+    return std::uniform_int_distribution<int>(lo, hi)(rng);
+  };
+  RandomInstance inst;
+  inst.vars = pick(3, 14);
+  auto random_vars = [&](int k) {
+    std::vector<Var> all(static_cast<std::size_t>(inst.vars));
+    std::iota(all.begin(), all.end(), Var{0});
+    std::shuffle(all.begin(), all.end(), rng);
+    all.resize(static_cast<std::size_t>(std::min(k, inst.vars)));
+    return all;
+  };
+  int nclauses = pick(0, 3 * inst.vars);
+  for (int i = 0; i < nclauses; ++i) {
+    std::vector<Lit> c;
+    for (Var v : random_vars(pick(1, 4))) c.push_back(mk_lit(v, pick(0, 1) == 1));
+    inst.clauses.push_back(std::move(c));
+  }
+  int npbs = pick(1, 4);
+  for (int i = 0; i < npbs; ++i) {
+    std::vector<std::pair<Lit, std::int64_t>> terms;
+    std::int64_t total = 0;
+    for (Var v : random_vars(pick(2, inst.vars))) {
+      std::int64_t w = pick(1, 4);
+      terms.emplace_back(mk_lit(v, pick(0, 2) != 0), w);
+      total += w;
+    }
+    inst.pbs.emplace_back(std::move(terms),
+                          std::uniform_int_distribution<std::int64_t>(0, total)(rng));
+  }
+  return inst;
+}
+
+TEST(SatOracle, RandomClausePbInstancesMatchBruteForce) {
+  std::mt19937 rng(20261017);
+  int sat_plain = 0, unsat_assumed = 0;
+  for (int round = 0; round < 240; ++round) {
+    RandomInstance inst = random_instance(rng);
+    Solver s;
+    for (int v = 0; v < inst.vars; ++v) s.new_var();
+    for (const auto& c : inst.clauses) s.add_clause(c);
+    for (const auto& [terms, bound] : inst.pbs) s.add_pb_le(terms, bound);
+    auto check_model = [&](const std::vector<Lit>& assumed) {
+      std::uint32_t m = 0;
+      for (int v = 0; v < inst.vars; ++v) {
+        if (s.model_value(static_cast<Var>(v))) m |= 1u << v;
+      }
+      EXPECT_TRUE(inst.satisfied(m)) << "round " << round;
+      for (Lit l : assumed) {
+        EXPECT_TRUE(RandomInstance::lit_true(l, m)) << "round " << round;
+      }
+    };
+
+    bool sat = inst.sat_under({});
+    ASSERT_EQ(s.solve() == R::Sat, sat) << "round " << round;
+    if (sat) {
+      ++sat_plain;
+      check_model({});
+    }
+    for (int probe = 0; probe < 6; ++probe) {
+      std::vector<Lit> assumed;
+      int k = std::uniform_int_distribution<int>(1, inst.vars)(rng);
+      std::vector<Var> vs(static_cast<std::size_t>(inst.vars));
+      std::iota(vs.begin(), vs.end(), Var{0});
+      std::shuffle(vs.begin(), vs.end(), rng);
+      for (int i = 0; i < k; ++i) {
+        assumed.push_back(mk_lit(vs[static_cast<std::size_t>(i)], rng() % 2 == 0));
+      }
+      bool want = inst.sat_under(assumed);
+      R got = s.solve(assumed);
+      ASSERT_EQ(got == R::Sat, want) << "round " << round << " probe " << probe;
+      if (got == R::Sat) {
+        check_model(assumed);
+        continue;
+      }
+      ++unsat_assumed;
+      std::vector<Lit> core = s.final_core();
+      for (Lit l : core) {
+        EXPECT_NE(std::find(assumed.begin(), assumed.end(), l), assumed.end())
+            << "round " << round << ": core literal not assumed";
+      }
+      EXPECT_FALSE(inst.sat_under(core)) << "round " << round << ": core is Sat";
+    }
+  }
+  // The generator must exercise both outcomes.
+  EXPECT_GT(sat_plain, 60);
+  EXPECT_GT(unsat_assumed, 60);
 }
 
 TEST(SatAssumptions, MinimizeCoreSubsetMinimal) {

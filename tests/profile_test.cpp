@@ -345,6 +345,29 @@ TEST(ConcretizerProfile, RadiussTopDirectiveHasSourceLocation) {
   EXPECT_FALSE(report.folded().empty());
 }
 
+TEST(ConcretizerProfile, DirectiveOrderRepeatsAcrossRuns) {
+  // Rows are ranked by deterministic counters, so timer noise cannot
+  // reorder them between runs of the same request.
+  repo::Repository repo = workload::radiuss_repo();
+  ConcretizerOptions opts;
+  opts.enable_splicing = true;
+  Concretizer c(repo, opts);
+  for (const auto& s : workload::local_cache_specs(repo)) c.add_reusable(s);
+
+  auto order = [&] {
+    ProfileReport report = c.profile({Request("visit ^mpiabi")});
+    EXPECT_TRUE(report.sat);
+    std::vector<std::string> names;
+    for (const asp::Profile::Row& row : report.profile.directives) {
+      names.push_back(row.name);
+    }
+    return names;
+  };
+  std::vector<std::string> first = order();
+  ASSERT_GT(first.size(), 1u);
+  for (int run = 1; run < 5; ++run) EXPECT_EQ(order(), first) << "run " << run;
+}
+
 TEST(ConcretizerProfile, UnsatRequestStillAttributed) {
   repo::Repository repo = workload::radiuss_repo();
   Concretizer c(repo, {});

@@ -5,6 +5,7 @@
 
 #include <set>
 
+#include "src/asp/term.hpp"
 #include "src/concretize/concretizer.hpp"
 #include "src/support/error.hpp"
 #include "src/workload/caches.hpp"
@@ -144,6 +145,27 @@ TEST(Resolver, MatchesAspConcretizer) {
         << root << "\ngreedy:\n" << greedy.tree() << "\nasp:\n"
         << solved.spec.tree();
   }
+}
+
+TEST(Radiuss, RepeatedRoundInternsNoNewTerms) {
+  // The term interner is append-only and process-wide.  Repeated traffic
+  // must not grow it: after one warm-up round of the 32 roots against the
+  // local cache, an identical second round interns nothing new.
+  repo::Repository repo = radiuss_repo();
+  concretize::ConcretizerOptions opts;
+  opts.enable_splicing = true;
+  concretize::Concretizer c(repo, opts);
+  for (const auto& s : local_cache_specs(repo)) c.add_reusable(s);
+  auto round = [&] {
+    for (const std::string& root : radiuss_roots()) {
+      concretize::Request req(depends_on_mpi(root) ? root + " ^mpiabi" : root);
+      EXPECT_TRUE(c.concretize(req).spec.is_concrete()) << root;
+    }
+  };
+  round();
+  std::size_t warm = asp::Term::interned_count();
+  round();
+  EXPECT_EQ(asp::Term::interned_count(), warm);
 }
 
 TEST(Caches, LocalCacheShape) {
