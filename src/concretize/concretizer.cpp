@@ -9,6 +9,7 @@
 #include "src/concretize/reach.hpp"
 #include "src/support/error.hpp"
 #include "src/support/flight.hpp"
+#include "src/support/strings.hpp"
 #include "src/support/trace.hpp"
 
 namespace splice::concretize {
@@ -797,15 +798,13 @@ void Concretizer::add_reusable(const Spec& concrete) {
 
 namespace {
 
-/// SPLICE_PROFILE=1 turns on always-on profiling of every concretization:
-/// per-origin/per-rule accounting rides the normal solve, headline totals
-/// land in the metrics registry as profile/* series, and the flight
-/// account's note carries the top-3 hottest directives (DESIGN.md §14).
+/// SPLICE_PROFILE=1 (any value but 0/off/false, see parse_switch) turns on
+/// always-on profiling of every concretization: per-origin/per-rule
+/// accounting rides the normal solve, headline totals land in the metrics
+/// registry as profile/* series, and the flight account's note carries the
+/// top-3 hottest directives (DESIGN.md §14).
 bool env_profile_enabled() {
-  static const bool on = [] {
-    const char* p = std::getenv("SPLICE_PROFILE");
-    return p != nullptr && *p != '\0' && std::string_view(p) != "0";
-  }();
+  static const bool on = parse_switch(std::getenv("SPLICE_PROFILE"), false);
   return on;
 }
 

@@ -1,7 +1,6 @@
 #include "src/support/flight.hpp"
 
 #include <algorithm>
-#include <cerrno>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -10,6 +9,7 @@
 #include <functional>
 #include <thread>
 
+#include "src/support/strings.hpp"
 #include "src/support/trace.hpp"
 
 namespace splice::flight {
@@ -125,26 +125,6 @@ json::Value RequestAccount::to_json() const {
 
 namespace {
 
-bool parse_u64(const char* s, std::uint64_t& out) {
-  if (s == nullptr || *s == '\0') return false;
-  errno = 0;
-  char* end = nullptr;
-  unsigned long long v = std::strtoull(s, &end, 10);
-  if (errno != 0 || end == s || *end != '\0') return false;
-  out = static_cast<std::uint64_t>(v);
-  return true;
-}
-
-bool parse_double(const char* s, double& out) {
-  if (s == nullptr || *s == '\0') return false;
-  errno = 0;
-  char* end = nullptr;
-  double v = std::strtod(s, &end);
-  if (errno != 0 || end == s || *end != '\0') return false;
-  out = v;
-  return true;
-}
-
 void warn_env(const char* var, const char* value) {
   std::fprintf(stderr,
                "splice: warning: ignoring malformed %s=\"%s\" "
@@ -157,22 +137,16 @@ void warn_env(const char* var, const char* value) {
 std::uint64_t env_u64(const char* var, const char* value,
                       std::uint64_t fallback) {
   if (value == nullptr) return fallback;
-  std::uint64_t out = 0;
-  if (!parse_u64(value, out)) {
-    warn_env(var, value);
-    return fallback;
-  }
-  return out;
+  if (std::optional<std::uint64_t> n = parse_count(value)) return *n;
+  warn_env(var, value);
+  return fallback;
 }
 
 double env_double(const char* var, const char* value, double fallback) {
   if (value == nullptr) return fallback;
-  double out = 0;
-  if (!parse_double(value, out) || out < 0) {
-    warn_env(var, value);
-    return fallback;
-  }
-  return out;
+  if (std::optional<double> x = parse_non_negative(value)) return *x;
+  warn_env(var, value);
+  return fallback;
 }
 
 // ---- Recorder --------------------------------------------------------------
@@ -185,12 +159,6 @@ struct Current {
   std::uint32_t id = 0;
 };
 thread_local Current t_current;
-
-std::uint16_t flight_thread_id() {
-  static std::atomic<std::uint16_t> counter{0};
-  thread_local std::uint16_t id = counter.fetch_add(1);
-  return id;
-}
 
 std::size_t round_pow2(std::size_t n) {
   std::size_t cap = 1;
@@ -233,10 +201,7 @@ void Recorder::configure(RecorderOptions opts) {
 Recorder& Recorder::global() {
   static Recorder* rec = [] {
     RecorderOptions opts;
-    if (const char* p = std::getenv("SPLICE_FLIGHT")) {
-      std::string_view v(p);
-      if (v == "off" || v == "0" || v == "false") opts.enabled = false;
-    }
+    opts.enabled = parse_switch(std::getenv("SPLICE_FLIGHT"), opts.enabled);
     opts.capacity = static_cast<std::size_t>(
         env_u64("SPLICE_FLIGHT_CAPACITY",
                 std::getenv("SPLICE_FLIGHT_CAPACITY"), opts.capacity));
@@ -294,7 +259,7 @@ void Recorder::do_emit(EventKind kind, std::int64_t a, std::int64_t b,
   ev.b = b;
   ev.kind = kind;
   ev.phase = phase;
-  ev.tid = flight_thread_id();
+  ev.tid = static_cast<std::uint16_t>(trace::Tracer::thread_id());
   if (t_current.rec == this) ev.request = t_current.id;
   std::size_t n = std::min(detail.size(), sizeof(ev.detail) - 1);
   if (n > 0) std::memcpy(ev.detail, detail.data(), n);
@@ -341,7 +306,7 @@ std::uint32_t Recorder::begin_request(std::string_view text) {
   ev.t_us = static_cast<std::uint64_t>(t);
   ev.request = id;
   ev.kind = EventKind::RequestBegin;
-  ev.tid = flight_thread_id();
+  ev.tid = static_cast<std::uint16_t>(trace::Tracer::thread_id());
   std::size_t n = std::min(text.size(), sizeof(ev.detail) - 1);
   if (n > 0) std::memcpy(ev.detail, text.data(), n);
   push_locked(ev);
@@ -379,7 +344,7 @@ void Recorder::end_request(std::uint32_t id, Outcome outcome,
     ev.kind = EventKind::RequestEnd;
     ev.a = static_cast<std::int64_t>(acc->seconds() * 1e6);
     ev.b = static_cast<std::int64_t>(acc->rollup.conflicts);
-    ev.tid = flight_thread_id();
+    ev.tid = static_cast<std::uint16_t>(trace::Tracer::thread_id());
     auto name = outcome_name(outcome);
     std::size_t n = std::min(name.size(), sizeof(ev.detail) - 1);
     std::memcpy(ev.detail, name.data(), n);

@@ -29,7 +29,7 @@
 // below collapses to nothing); see bench_logs/FLIGHT_OVERHEAD.md.
 //
 // Environment hooks (any binary linking splice_support):
-//   SPLICE_FLIGHT=off                disable recording at startup
+//   SPLICE_FLIGHT=off|0|false        disable recording at startup
 //   SPLICE_FLIGHT_CAPACITY=<n>       ring capacity in events (default 16384)
 //   SPLICE_FLIGHT_SLOW_MS=<n>        slow-request latency threshold
 //   SPLICE_FLIGHT_SLOW_CONFLICTS=<n> slow-request conflict threshold
@@ -37,6 +37,7 @@
 //   SPLICE_FLIGHT_EXIT=<file>        dump the full ring at process exit
 //   SPLICE_FLIGHT_CRASH=<file>       dump on SIGSEGV/SIGBUS/SIGABRT/...
 //   SPLICE_FLIGHT_WATCHDOG_MS=<n>    dump requests still active after n ms
+// Numbers parse strictly (splice::parse_count / parse_non_negative).
 // Malformed values warn once on stderr and fall back to the default; they
 // are never silently dropped.
 #pragma once
@@ -113,7 +114,7 @@ struct Event {
   std::uint32_t request = 0;  ///< owning request id; 0 = unattributed
   EventKind kind = EventKind::Mark;
   Phase phase = Phase::None;
-  std::uint16_t tid = 0;   ///< small per-thread id (same scheme as Tracer)
+  std::uint16_t tid = 0;   ///< trace::Tracer::thread_id(), low 16 bits
   char detail[24] = {};    ///< NUL-terminated, truncated label
 
   std::string_view detail_view() const {
@@ -334,9 +335,9 @@ class PhaseScope {
 };
 
 /// Parse a numeric SPLICE_FLIGHT_* environment value.  A set-but-malformed
-/// value (empty, non-numeric, trailing junk) emits one stderr warning naming
-/// the variable and the bad value, then returns `fallback`; unset (nullptr)
-/// returns `fallback` silently.
+/// value (empty, signed, non-numeric, trailing junk) emits one stderr
+/// warning naming the variable and the bad value, then returns `fallback`;
+/// unset (nullptr) returns `fallback` silently.
 std::uint64_t env_u64(const char* var, const char* value,
                       std::uint64_t fallback);
 double env_double(const char* var, const char* value, double fallback);

@@ -1,6 +1,8 @@
 #include "src/support/strings.hpp"
 
 #include <cctype>
+#include <charconv>
+#include <cmath>
 
 namespace splice {
 
@@ -66,6 +68,35 @@ std::string replace_all(std::string s, std::string_view from, std::string_view t
     pos += to.size();
   }
   return s;
+}
+
+std::optional<std::uint64_t> parse_count(std::string_view s) {
+  std::uint64_t n = 0;
+  auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), n);
+  if (s.empty() || ec != std::errc() || end != s.data() + s.size()) {
+    return std::nullopt;
+  }
+  return n;
+}
+
+std::optional<double> parse_non_negative(std::string_view s) {
+  // A leading digit or '.' rules out a sign, "inf" and "nan".
+  if (s.empty() || !(std::isdigit(static_cast<unsigned char>(s[0])) ||
+                     s[0] == '.')) {
+    return std::nullopt;
+  }
+  double x = 0;
+  auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), x);
+  if (ec != std::errc() || end != s.data() + s.size() || !std::isfinite(x)) {
+    return std::nullopt;
+  }
+  return x;
+}
+
+bool parse_switch(const char* value, bool fallback) {
+  if (value == nullptr || *value == '\0') return fallback;
+  std::string_view v(value);
+  return v != "0" && v != "off" && v != "false";
 }
 
 }  // namespace splice

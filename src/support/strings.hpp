@@ -1,6 +1,8 @@
 // Small string helpers used across the library.
 #pragma once
 
+#include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -25,5 +27,18 @@ bool is_identifier(std::string_view s);
 
 /// Replace every occurrence of `from` in `s` with `to`.
 std::string replace_all(std::string s, std::string_view from, std::string_view to);
+
+/// The strict number parsers behind every numeric flag and environment
+/// value: the whole of `s` must be the number, with no sign, space, prefix
+/// or suffix.  parse_count() takes decimal digits that fit in 64 bits;
+/// parse_non_negative() takes a finite decimal such as "2", "0.5", ".5" or
+/// "1e3" (no hex, inf or nan).  Malformed input gives nullopt.
+std::optional<std::uint64_t> parse_count(std::string_view s);
+std::optional<double> parse_non_negative(std::string_view s);
+
+/// An on/off setting such as SPLICE_FLIGHT or SPLICE_PROFILE: "0", "off"
+/// and "false" turn it off, any other value turns it on, and an unset
+/// (nullptr) or empty value leaves `fallback`.
+bool parse_switch(const char* value, bool fallback);
 
 }  // namespace splice

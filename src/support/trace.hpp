@@ -134,10 +134,13 @@ class Tracer {
   /// Drop all recorded events and metrics (not the enabled flag).
   void clear();
 
+  /// The calling thread's small sequential id, shared by every Tracer and
+  /// the flight recorder so one thread has one `tid` in all their exports.
+  static std::uint32_t thread_id();
+
  private:
   friend class Span;
   void record(TraceEvent ev);
-  static std::uint32_t thread_id();
 
   std::atomic<bool> enabled_{false};
   std::chrono::steady_clock::time_point epoch_;

@@ -154,6 +154,29 @@ TEST(FlightRecorderTest, RequestAccountingAndThreadBinding) {
   for (const Event& ev : rec.events()) EXPECT_EQ(ev.request, id);
 }
 
+TEST(FlightRecorderTest, ThreadIdMatchesTracerInBothSinks) {
+  trace::Tracer tracer;
+  tracer.set_enabled(true);
+  Recorder rec(small_opts(64));
+  // The main thread reaches the recorder first, so separate per-sink
+  // counters would number the worker differently in the two exports.
+  rec.emit(EventKind::Mark);
+  std::thread([&] {
+    rec.emit(EventKind::Mark);
+    trace::Span span("worker", "test", tracer);
+  }).join();
+  { trace::Span span("main", "test", tracer); }
+
+  std::vector<Event> events = rec.events();
+  std::vector<trace::TraceEvent> spans = tracer.events();
+  ASSERT_EQ(events.size(), 2u);
+  ASSERT_EQ(spans.size(), 2u);
+  ASSERT_EQ(spans[0].name, "worker");
+  EXPECT_EQ(events[0].tid, spans[1].tid);  // main thread
+  EXPECT_EQ(events[1].tid, spans[0].tid);  // worker thread
+  EXPECT_NE(events[0].tid, events[1].tid);
+}
+
 TEST(FlightRecorderTest, NestedScopesRestorePreviousBinding) {
   Recorder rec(small_opts(64));
   RequestScope outer("outer", rec);
@@ -360,6 +383,22 @@ TEST(FlightEnvTest, MalformedValuesWarnOnceAndFallBack) {
   EXPECT_EQ(flight::env_u64("SPLICE_FLIGHT_CAPACITY", "", 7u), 7u);
   EXPECT_FALSE(testing::internal::GetCapturedStderr().empty())
       << "an empty value must warn, not vanish";
+}
+
+TEST(FlightEnvTest, SignedAndOutOfRangeValuesFallBack) {
+  // A wrapped "-1" would size the ring at its 2^28-slot (16 GiB) clamp.
+  // These calls only parse the value; nothing is allocated.
+  testing::internal::CaptureStderr();
+  EXPECT_EQ(flight::env_u64("SPLICE_FLIGHT_CAPACITY", "-1", 5u), 5u);
+  EXPECT_EQ(flight::env_u64("SPLICE_FLIGHT_CAPACITY", " 64", 5u), 5u);
+  EXPECT_EQ(flight::env_u64("SPLICE_FLIGHT_CAPACITY",
+                            "18446744073709551616", 5u),
+            5u);
+  EXPECT_DOUBLE_EQ(flight::env_double("SPLICE_FLIGHT_SLOW_MS", "-3", 2), 2);
+  EXPECT_DOUBLE_EQ(flight::env_double("SPLICE_FLIGHT_SLOW_MS", "inf", 2), 2);
+  std::string err = testing::internal::GetCapturedStderr();
+  EXPECT_NE(err.find("SPLICE_FLIGHT_CAPACITY=\"-1\""), std::string::npos);
+  EXPECT_NE(err.find("SPLICE_FLIGHT_SLOW_MS=\"inf\""), std::string::npos);
 }
 
 TEST(FlightEnvTest, ValidAndUnsetValuesParseSilently) {

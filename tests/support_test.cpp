@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
+#include <optional>
 #include <set>
 #include <stdexcept>
 #include <vector>
@@ -126,6 +128,42 @@ TEST(Strings, ReplaceAll) {
   EXPECT_EQ(replace_all("x", "", "y"), "x");
   // Replacement containing the needle must not loop.
   EXPECT_EQ(replace_all("ab", "a", "aa"), "aab");
+}
+
+TEST(Strings, ParseCountIsStrict) {
+  EXPECT_EQ(parse_count("0"), 0u);
+  EXPECT_EQ(parse_count("4096"), 4096u);
+  EXPECT_EQ(parse_count("18446744073709551615"), UINT64_MAX);
+  // Signs, spaces, suffixes, fractions and overflow are all malformed
+  // (strtoull would wrap "-1" to UINT64_MAX and read "2x" as 2).
+  for (const char* bad : {"", "-1", "+5", " 5", "5 ", "2x", "abc", "1.5",
+                          "1e3", "0x10", "18446744073709551616"}) {
+    EXPECT_EQ(parse_count(bad), std::nullopt) << "\"" << bad << "\"";
+  }
+}
+
+TEST(Strings, ParseNonNegativeIsStrict) {
+  EXPECT_EQ(parse_non_negative("0"), 0.0);
+  EXPECT_EQ(parse_non_negative("250.5"), 250.5);
+  EXPECT_EQ(parse_non_negative(".5"), 0.5);
+  EXPECT_EQ(parse_non_negative("1e3"), 1000.0);
+  for (const char* bad : {"", "-1", "-0", "+1", " 1", "1ms", "fast", "inf",
+                          "nan", "0x1p3", "1e400", "1e"}) {
+    EXPECT_EQ(parse_non_negative(bad), std::nullopt) << "\"" << bad << "\"";
+  }
+}
+
+TEST(Strings, ParseSwitchOneRuleForEveryOnOffSetting) {
+  for (const char* off : {"0", "off", "false"}) {
+    EXPECT_FALSE(parse_switch(off, true)) << off;
+  }
+  for (const char* on : {"1", "on", "true", "yes"}) {
+    EXPECT_TRUE(parse_switch(on, false)) << on;
+  }
+  EXPECT_TRUE(parse_switch(nullptr, true));
+  EXPECT_FALSE(parse_switch(nullptr, false));
+  EXPECT_TRUE(parse_switch("", true));
+  EXPECT_FALSE(parse_switch("", false));
 }
 
 TEST(Parallel, ZeroItemsRunsNothing) {

@@ -27,6 +27,7 @@
 #include "src/binary/buildcache.hpp"
 #include "src/support/error.hpp"
 #include "src/support/flight.hpp"
+#include "src/support/strings.hpp"
 #include "src/support/trace.hpp"
 #include "src/workload/radiuss.hpp"
 #include "src/workload/synthbin.hpp"
@@ -91,11 +92,26 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    // Numeric values parse strictly; a malformed one is a usage error.
+    auto number = [&](const char* flag, auto parse, const char* expected) {
+      std::string text = value(flag);
+      auto n = parse(text);
+      if (!n) {
+        std::cerr << "repo_audit: " << flag << ": expected " << expected
+                  << ", got \"" << text << "\" (see repo_audit --help)\n";
+        std::exit(2);
+      }
+      return *n;
+    };
+    auto count = [&](const char* flag) {
+      return static_cast<std::size_t>(
+          number(flag, splice::parse_count, "a non-negative integer"));
+    };
     if (arg == "-h" || arg == "--help") {
       std::cout << kUsage;
       return 0;
     } else if (arg == "--replicas") {
-      replicas = std::stoul(value("--replicas"));
+      replicas = count("--replicas");
     } else if (arg == "--cache") {
       cache_dirs.push_back(value("--cache"));
     } else if (arg == "--no-synth") {
@@ -107,7 +123,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--same-package") {
       opts.suggest_same_package = true;
     } else if (arg == "--jobs") {
-      opts.jobs = std::stoul(value("--jobs"));
+      opts.jobs = count("--jobs");
     } else if (arg == "--incremental") {
       incremental = true;
     } else if (arg == "--cache-dir") {
@@ -120,7 +136,8 @@ int main(int argc, char** argv) {
     } else if (arg == "--flight") {
       flight_path = value("--flight");
     } else if (arg == "--slow-ms") {
-      slow_ms = std::stod(value("--slow-ms"));
+      slow_ms = number("--slow-ms", splice::parse_non_negative,
+                       "a non-negative number");
     } else if (arg == "--quiet") {
       quiet = true;
     } else if (arg == "--werror") {

@@ -20,9 +20,6 @@
 // trailing-junk values are usage errors (exit 2).  tools/trace_check
 // validates every artifact this tool writes.
 #include <algorithm>
-#include <cctype>
-#include <cerrno>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -139,28 +136,20 @@ class Args {
   /// A non-negative decimal integer value.
   std::size_t count() {
     const std::string& text = value();
-    bool digits = !text.empty() &&
-                  text.find_first_not_of("0123456789") == std::string::npos;
-    errno = 0;
-    unsigned long long n = digits ? std::strtoull(text.c_str(), nullptr, 10)
-                                  : 0;
-    if (!digits || errno == ERANGE) {
+    std::optional<std::uint64_t> n = parse_count(text);
+    if (!n) {
       fail(arg_ + ": expected a non-negative integer, got \"" + text + "\"");
     }
-    return static_cast<std::size_t>(n);
+    return static_cast<std::size_t>(*n);
   }
   /// A finite, non-negative decimal number value.
   double milliseconds() {
     const std::string& text = value();
-    bool lead = !text.empty() && (std::isdigit(static_cast<unsigned char>(
-                                      text[0])) != 0 ||
-                                  text[0] == '.');
-    char* end = nullptr;
-    double ms = lead ? std::strtod(text.c_str(), &end) : -1;
-    if (end != text.c_str() + text.size() || !std::isfinite(ms) || ms < 0) {
+    std::optional<double> ms = parse_non_negative(text);
+    if (!ms) {
       fail(arg_ + ": expected a non-negative number, got \"" + text + "\"");
     }
-    return ms;
+    return *ms;
   }
   /// The current argument as a positional; rejects unknown options.
   const std::string& positional() const {

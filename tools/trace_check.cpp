@@ -1,27 +1,26 @@
-// trace_check: structural validator for the formats this repo emits —
-// Chrome trace-event files (splice run --trace / SPLICE_TRACE), stats files
-// (schema "splice-stats-v1"), bench result files (schema "splice-bench-v1"),
-// explanation documents (schema "splice-explain-v1", from splice explain),
-// solver cost profiles (schema "splice-profile-v1", from splice profile),
-// repository audit reports (schema "repo-audit-v1", from repo_audit),
-// incremental audit caches (schema "repo-audit-cache-v1", from
-// repo_audit --incremental),
-// flight recordings (schema "splice-flight-v1", from the flight recorder /
-// splice run --flight), and Prometheus text exposition (*.prom, or any input not
-// starting with '{'; from MetricsRegistry::metrics_text).  CI runs it over
-// the artifacts a workload resolution produces; exit 0 means every file
-// validated.
+// trace_check: structural validator for the artifacts this repo emits.
+//
+// Each JSON format is one row of kSchemas below, which is the list of the
+// formats checked: a shape table of field kinds, walked by one checker,
+// plus a short named hook where a rule spans several fields.  Prometheus
+// text exposition (*.prom, or any input not starting with '{'; from
+// MetricsRegistry::metrics_text) is a line grammar with its own checker.
+// A failure names the JSON path it concerns; a valid file prints one OK
+// line.  Exit 0: every file validated; 1: some did not; 2: usage error.
 //
 // usage: trace_check FILE...
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <map>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "src/support/error.hpp"
 #include "src/support/json.hpp"
+#include "src/support/strings.hpp"
 
 namespace {
 
@@ -34,813 +33,527 @@ void fail(const std::string& file, const std::string& what) {
   ++errors;
 }
 
-bool require_number(const std::string& file, const Value& obj,
-                    const char* key, const std::string& ctx) {
-  const Value* v = obj.find(key);
-  if (v == nullptr || !v->is_number()) {
-    fail(file, ctx + ": missing numeric \"" + key + "\"");
-    return false;
-  }
-  return true;
+// ---- Shape tables ----------------------------------------------------------
+
+/// Field kinds: the scalars convert to a Shape directly; the composite
+/// kinds are built by one_of(), object(), map_of(), array_of() and ref().
+enum Kind {
+  Any, Number, Integer, Count, Duration, String, Text, Bool,
+  Enum, Object, Array, NonEmptyArray, Ref
+};
+
+struct Field;
+
+/// A rule across several fields of one object, run after its fields.
+using Hook = void (*)(const std::string& file, const Value& obj,
+                      const std::string& path);
+
+struct Shape {
+  Shape(Kind k = Any);  // implicit: a table names a scalar kind directly
+  Kind kind;
+  std::vector<std::string> names;  ///< Enum: the allowed strings
+  std::vector<Field> fields;       ///< Object: the named members
+  std::vector<Shape> item;  ///< Array: every element; Object: every member
+  /// Object: the fields also required when member `by` equals the value.
+  std::string by;
+  std::vector<std::pair<Value, std::vector<Field>>> cases;
+  Hook hook = nullptr;         ///< Object
+  const Shape* ref = nullptr;  ///< Ref: a shape that contains itself
+};
+
+/// Each of `keys` must be present (unless optional) with `shape`.
+struct Field {
+  Field(std::vector<std::string> k, Shape s, bool opt = false)
+      : keys(std::move(k)), shape(std::move(s)), optional(opt) {}
+  std::vector<std::string> keys;
+  Shape shape;
+  bool optional;
+};
+
+Shape::Shape(Kind k) : kind(k) {}
+
+Shape one_of(std::vector<std::string> names) {
+  Shape s(Enum);
+  s.names = std::move(names);
+  return s;
+}
+Shape object(std::vector<Field> fields, Hook hook = nullptr) {
+  Shape s(Object);
+  s.fields = std::move(fields);
+  s.hook = hook;
+  return s;
+}
+/// An object whose `keys` are all numbers.
+Shape numbers(std::vector<std::string> keys) {
+  return object({{std::move(keys), Number}});
+}
+Shape when(Shape obj, std::string by,
+           std::vector<std::pair<Value, std::vector<Field>>> cases) {
+  obj.by = std::move(by);
+  obj.cases = std::move(cases);
+  return obj;
+}
+Shape array_of(Shape item, Kind kind = Array) {
+  Shape s(kind);
+  s.item = {std::move(item)};
+  return s;
+}
+Shape map_of(Shape item) { return array_of(std::move(item), Object); }
+Shape ref(const Shape* shape) {
+  Shape s(Ref);
+  s.ref = shape;
+  return s;
+}
+/// A "source" object: `always`, plus `if_known` when "known" is true.
+Shape source(std::vector<Field> always, std::vector<Field> if_known) {
+  always.emplace_back(std::vector<std::string>{"known"}, Bool);
+  return when(object(std::move(always)), "known",
+              {{true, std::move(if_known)}});
 }
 
-/// {"displayTimeUnit": ..., "traceEvents": [{name, ph, ts, pid, tid, ...}]}
-void check_chrome_trace(const std::string& file, const Value& doc) {
+bool matches(const Value& v, const Shape& s) {
+  switch (s.kind) {
+    case Any: return true;
+    case Number: return v.is_number();
+    case Integer: return v.is_int();
+    case Count: return v.is_int() && v.as_int() >= 0;
+    case Duration: return v.is_number() && v.as_double() >= 0;
+    case String: return v.is_string();
+    case Text: return v.is_string() && !v.as_string().empty();
+    case Bool: return v.is_bool();
+    case Enum:
+      return v.is_string() && std::find(s.names.begin(), s.names.end(),
+                                        v.as_string()) != s.names.end();
+    case Object: return v.is_object();
+    case Array: return v.is_array();
+    case NonEmptyArray: return v.is_array() && !v.as_array().empty();
+    case Ref: return matches(v, *s.ref);
+  }
+  return false;
+}
+
+std::string describe(const Shape& s) {
+  switch (s.kind) {
+    case Any: return "a value";
+    case Number: return "a number";
+    case Integer: return "an integer";
+    case Count: return "a non-negative integer";
+    case Duration: return "a non-negative number";
+    case String: return "a string";
+    case Text: return "a non-empty string";
+    case Bool: return "a boolean";
+    case Enum: return "one of " + splice::join(s.names, "/");
+    case Object: return "an object";
+    case Array: return "an array";
+    case NonEmptyArray: return "a non-empty array";
+    case Ref: return describe(*s.ref);
+  }
+  return "";
+}
+
+/// Paths name object members as "a/b" and array elements as "a[0]".
+std::string join(const std::string& path, const std::string& key) {
+  return path.empty() ? key : path + "/" + key;
+}
+
+void fail_at(const std::string& file, const std::string& path,
+             const std::string& what) {
+  fail(file, path.empty() ? what : path + ": " + what);
+}
+
+void check(const std::string& file, const Value& v, const Shape& s,
+           const std::string& path);
+
+void check_fields(const std::string& file, const Value& obj,
+                  const std::vector<Field>& fields, const std::string& path) {
+  for (const Field& f : fields) {
+    for (const std::string& key : f.keys) {
+      if (const Value* v = obj.find(key)) {
+        check(file, *v, f.shape, join(path, key));
+      } else if (!f.optional) {
+        fail_at(file, join(path, key),
+                "missing, expected " + describe(f.shape));
+      }
+    }
+  }
+}
+
+/// The one walker: checks `v` against `s`, reporting each mismatch.
+void check(const std::string& file, const Value& v, const Shape& s,
+           const std::string& path) {
+  if (s.kind == Ref) return check(file, v, *s.ref, path);
   int before = errors;
-  const Value* events = doc.find("traceEvents");
-  if (events == nullptr || !events->is_array()) {
-    fail(file, "no \"traceEvents\" array");
-    return;
+  if (!matches(v, s)) {
+    std::string got = v.is_array()    ? "an array"
+                      : v.is_object() ? "an object"
+                                      : v.dump().substr(0, 40);
+    return fail_at(file, path, "expected " + describe(s) + ", got " + got);
   }
-  std::size_t i = 0;
-  for (const Value& ev : events->as_array()) {
-    std::string ctx = "traceEvents[" + std::to_string(i++) + "]";
-    if (!ev.is_object()) {
-      fail(file, ctx + ": not an object");
-      continue;
-    }
-    const Value* name = ev.find("name");
-    if (name == nullptr || !name->is_string()) {
-      fail(file, ctx + ": missing string \"name\"");
-    }
-    const Value* ph = ev.find("ph");
-    if (ph == nullptr || !ph->is_string()) {
-      fail(file, ctx + ": missing string \"ph\"");
-      continue;
-    }
-    require_number(file, ev, "ts", ctx);
-    require_number(file, ev, "pid", ctx);
-    require_number(file, ev, "tid", ctx);
-    const std::string& phase = ph->as_string();
-    if (phase == "X") {
-      if (require_number(file, ev, "dur", ctx) &&
-          ev.find("dur")->as_double() < 0) {
-        fail(file, ctx + ": negative \"dur\"");
-      }
-    } else if (phase == "i") {
-      const Value* s = ev.find("s");
-      if (s == nullptr || !s->is_string()) {
-        fail(file, ctx + ": instant event without scope \"s\"");
-      }
-    } else {
-      fail(file, ctx + ": unexpected phase \"" + phase + "\"");
-    }
-  }
-  if (errors == before) {
-    std::printf("trace_check: %s: chrome trace OK (%zu events)\n",
-                file.c_str(), events->as_array().size());
-  }
-}
-
-/// {"schema": "splice-stats-v1", "spans": {...}, "events": {...},
-///  "metrics": {counters, gauges, histograms}}
-void check_stats(const std::string& file, const Value& doc) {
-  int before = errors;
-  const Value* spans = doc.find("spans");
-  if (spans == nullptr || !spans->is_object()) {
-    fail(file, "no \"spans\" object");
-  } else {
-    for (const auto& [key, span] : spans->as_object()) {
-      if (!span.is_object()) {
-        fail(file, "spans/" + key + ": not an object");
-        continue;
-      }
-      for (const char* field : {"count", "total_seconds", "mean_seconds",
-                                "min_seconds", "max_seconds"}) {
-        require_number(file, span, field, "spans/" + key);
-      }
-    }
-  }
-  const Value* events = doc.find("events");
-  if (events == nullptr || !events->is_object()) {
-    fail(file, "no \"events\" object");
-  } else {
-    for (const auto& [key, n] : events->as_object()) {
-      if (!n.is_int()) fail(file, "events/" + key + ": not an integer");
-    }
-  }
-  const Value* metrics = doc.find("metrics");
-  if (metrics == nullptr || !metrics->is_object()) {
-    fail(file, "no \"metrics\" object");
-  } else {
-    for (const char* section : {"counters", "gauges", "histograms"}) {
-      const Value* s = metrics->find(section);
-      if (s == nullptr || !s->is_object()) {
-        fail(file, std::string("metrics: no \"") + section + "\" object");
-      }
-    }
-  }
-  if (errors == before) {
-    std::printf("trace_check: %s: stats OK (%zu span keys)\n", file.c_str(),
-                spans->as_object().size());
-  }
-}
-
-/// {"schema": "splice-bench-v1", "bench": ..., "series": {s: {label: cell}}}
-void check_bench(const std::string& file, const Value& doc) {
-  int before = errors;
-  const Value* bench = doc.find("bench");
-  if (bench == nullptr || !bench->is_string()) {
-    fail(file, "no string \"bench\"");
-  }
-  const Value* series = doc.find("series");
-  if (series == nullptr || !series->is_object()) {
-    fail(file, "no \"series\" object");
-    return;
-  }
-  std::size_t cells = 0;
-  for (const auto& [sname, labels] : series->as_object()) {
-    if (!labels.is_object()) {
-      fail(file, "series/" + sname + ": not an object");
-      continue;
-    }
-    for (const auto& [label, cell] : labels.as_object()) {
-      std::string ctx = "series/" + sname + "/" + label;
-      if (!cell.is_object()) {
-        fail(file, ctx + ": not an object");
-        continue;
-      }
-      ++cells;
-      for (const char* field :
-           {"n", "mean_seconds", "median_seconds", "p90_seconds",
-            "min_seconds", "max_seconds"}) {
-        require_number(file, cell, field, ctx);
-      }
-      // Optional per-cell comparison direction (bench_diff inverts its
-      // regression verdict for "higher"), with the value unit alongside.
-      if (const Value* dir = cell.find("direction"); dir != nullptr) {
-        if (!dir->is_string() || (dir->as_string() != "lower" &&
-                                  dir->as_string() != "higher")) {
-          fail(file, ctx + ": \"direction\" must be \"lower\" or \"higher\"");
-        }
-        if (const Value* unit = cell.find("unit");
-            unit == nullptr || !unit->is_string()) {
-          fail(file, ctx + ": a directed cell needs a string \"unit\"");
-        }
-      }
-    }
-  }
-  if (errors == before) {
-    std::printf("trace_check: %s: bench results OK (%zu cells)\n",
-                file.c_str(), cells);
-  }
-}
-
-bool require_bool(const std::string& file, const Value& obj, const char* key,
-                  const std::string& ctx) {
-  const Value* v = obj.find(key);
-  if (v == nullptr || !v->is_bool()) {
-    fail(file, ctx + ": missing boolean \"" + key + "\"");
-    return false;
-  }
-  return true;
-}
-
-bool require_string(const std::string& file, const Value& obj, const char* key,
-                    const std::string& ctx) {
-  const Value* v = obj.find(key);
-  if (v == nullptr || !v->is_string()) {
-    fail(file, ctx + ": missing string \"" + key + "\"");
-    return false;
-  }
-  return true;
-}
-
-/// {"schema": "splice-batch-v1", "jobs": N, "workers": N, "requests": N,
-///  "succeeded": N, "failed": N, "seconds": s, "throughput_rps": r,
-///  "results": [{"request": str, "ok": bool, "seconds": s, ...}]}
-/// Contract: results keep input order and partition into succeeded ok rows
-/// (with nodes/builds/reused/splices counts) and failed rows (with the
-/// error message); the envelope counters must match the rows.
-void check_batch(const std::string& file, const Value& doc) {
-  int before = errors;
-  for (const char* field : {"jobs", "workers", "requests", "succeeded",
-                            "failed"}) {
-    const Value* v = doc.find(field);
-    if (v == nullptr || !v->is_int() || v->as_int() < 0) {
-      fail(file, std::string("missing non-negative integer \"") + field +
-                     "\"");
-    }
-  }
-  require_number(file, doc, "seconds", "batch");
-  require_number(file, doc, "throughput_rps", "batch");
-  const Value* results = doc.find("results");
-  if (results == nullptr || !results->is_array()) {
-    fail(file, "no \"results\" array");
-    return;
-  }
-  std::int64_t ok_rows = 0;
-  std::int64_t failed_rows = 0;
-  std::size_t i = 0;
-  for (const Value& row : results->as_array()) {
-    std::string ctx = "results[" + std::to_string(i++) + "]";
-    if (!row.is_object()) {
-      fail(file, ctx + ": not an object");
-      continue;
-    }
-    require_string(file, row, "request", ctx);
-    require_number(file, row, "seconds", ctx);
-    if (!require_bool(file, row, "ok", ctx)) continue;
-    if (row.find("ok")->as_bool()) {
-      ++ok_rows;
-      for (const char* field : {"nodes", "builds", "reused", "splices"}) {
-        const Value* v = row.find(field);
-        if (v == nullptr || !v->is_int() || v->as_int() < 0) {
-          fail(file, ctx + ": missing non-negative integer \"" +
-                         std::string(field) + "\"");
-        }
-      }
-    } else {
-      ++failed_rows;
-      const Value* err = row.find("error");
-      if (err == nullptr || !err->is_string() || err->as_string().empty()) {
-        fail(file, ctx + ": failed row needs a non-empty \"error\"");
-      }
-    }
-  }
-  auto check_count = [&](const char* field, std::int64_t want) {
-    const Value* v = doc.find(field);
-    if (v != nullptr && v->is_int() && v->as_int() != want) {
-      fail(file, std::string("\"") + field + "\" (" +
-                     std::to_string(v->as_int()) + ") does not match the " +
-                     std::to_string(want) + " matching result row(s)");
-    }
-  };
-  check_count("requests",
-              static_cast<std::int64_t>(results->as_array().size()));
-  check_count("succeeded", ok_rows);
-  check_count("failed", failed_rows);
-  if (errors == before) {
-    std::printf("trace_check: %s: batch report OK (%zu result(s), "
-                "%lld ok, %lld failed)\n",
-                file.c_str(), results->as_array().size(),
-                static_cast<long long>(ok_rows),
-                static_cast<long long>(failed_rows));
-  }
-}
-
-/// {"schema": "splice-explain-v1", "mode": "unsat"|"splice",
-///  "requests": [str], "explanation": {...mode-specific...}}
-void check_explain(const std::string& file, const Value& doc) {
-  int before = errors;
-  const Value* mode = doc.find("mode");
-  std::string m = mode != nullptr && mode->is_string() ? mode->as_string() : "";
-  if (m != "unsat" && m != "splice") {
-    fail(file, "mode must be \"unsat\" or \"splice\", got \"" + m + "\"");
-    return;
-  }
-  const Value* reqs = doc.find("requests");
-  if (reqs == nullptr || !reqs->is_array()) {
-    fail(file, "no \"requests\" array");
-  } else {
+  if (s.kind == Array || s.kind == NonEmptyArray) {
     std::size_t i = 0;
-    for (const Value& r : reqs->as_array()) {
-      if (!r.is_string()) {
-        fail(file, "requests[" + std::to_string(i) + "]: not a string");
-      }
-      ++i;
+    for (const Value& x : v.as_array()) {
+      check(file, x, s.item[0], path + "[" + std::to_string(i++) + "]");
     }
-  }
-  const Value* ex = doc.find("explanation");
-  if (ex == nullptr || !ex->is_object()) {
-    fail(file, "no \"explanation\" object");
-    return;
-  }
-  require_bool(file, *ex, "sat", "explanation");
-  if (m == "unsat") {
-    require_bool(file, *ex, "unconditional", "explanation");
-    const Value* core = ex->find("core");
-    if (core == nullptr || !core->is_array()) {
-      fail(file, "explanation: no \"core\" array");
-    } else {
-      std::size_t i = 0;
-      for (const Value& cc : core->as_array()) {
-        std::string ctx = "core[" + std::to_string(i++) + "]";
-        if (!cc.is_object()) {
-          fail(file, ctx + ": not an object");
-          continue;
-        }
-        require_string(file, cc, "kind", ctx);
-        require_number(file, cc, "ground_index", ctx);
-        require_string(file, cc, "constraint", ctx);
-        const Value* pkgs = cc.find("packages");
-        if (pkgs == nullptr || !pkgs->is_array()) {
-          fail(file, ctx + ": no \"packages\" array");
-        }
-        const Value* src = cc.find("source");
-        if (src == nullptr || !src->is_object()) {
-          fail(file, ctx + ": no \"source\" object");
-        } else if (require_bool(file, *src, "known", ctx + "/source") &&
-                   src->find("known")->as_bool()) {
-          require_string(file, *src, "rule", ctx + "/source");
-          require_number(file, *src, "rule_index", ctx + "/source");
-          require_number(file, *src, "line", ctx + "/source");
-          require_number(file, *src, "col", ctx + "/source");
-        }
+  } else if (s.kind == Object) {
+    if (!s.item.empty()) {
+      for (const auto& [key, x] : v.as_object()) {
+        check(file, x, s.item[0], join(path, key));
       }
     }
-    const Value* stats = ex->find("stats");
-    if (stats == nullptr || !stats->is_object()) {
-      fail(file, "explanation: no \"stats\" object");
-    } else {
-      for (const char* field : {"guarded_constraints", "core_initial",
-                                "core_minimized", "minimize_solves"}) {
-        require_number(file, *stats, field, "explanation/stats");
+    check_fields(file, v, s.fields, path);
+    const Value* pick = v.find(s.by);
+    for (const auto& [value, fields] : s.cases) {
+      if (pick != nullptr && *pick == value) {
+        check_fields(file, v, fields, path);
       }
     }
-  } else {
-    require_number(file, *ex, "executed", "explanation");
-    const Value* cands = ex->find("candidates");
-    if (cands == nullptr || !cands->is_array()) {
-      fail(file, "explanation: no \"candidates\" array");
-    } else {
-      std::size_t i = 0;
-      for (const Value& c : cands->as_array()) {
-        std::string ctx = "candidates[" + std::to_string(i++) + "]";
-        if (!c.is_object()) {
-          fail(file, ctx + ": not an object");
-          continue;
-        }
-        for (const char* field : {"parent", "parent_hash", "dependency",
-                                  "dependency_hash", "replacement", "verdict",
-                                  "directive"}) {
-          require_string(file, c, field, ctx);
-        }
-        for (const char* field : {"can_splice_held", "parent_reused",
-                                  "spliced_away", "chosen"}) {
-          require_bool(file, c, field, ctx);
-        }
-      }
-    }
-    const Value* costs = ex->find("costs");
-    if (costs == nullptr || !costs->is_array()) {
-      fail(file, "explanation: no \"costs\" array");
-    } else {
-      std::size_t i = 0;
-      for (const Value& e : costs->as_array()) {
-        std::string ctx = "costs[" + std::to_string(i++) + "]";
-        if (!e.is_object()) {
-          fail(file, ctx + ": not an object");
-          continue;
-        }
-        require_number(file, e, "priority", ctx);
-        require_number(file, e, "cost", ctx);
-      }
-    }
-  }
-  if (errors == before) {
-    std::printf("trace_check: %s: explain (%s) OK\n", file.c_str(), m.c_str());
+    if (s.hook != nullptr && errors == before) s.hook(file, v, path);
   }
 }
 
-/// One cost-table row of a `splice-profile-v1` document:
-/// {"name": str, "source": {"known": bool, [file, line, col, rule_index]},
-///  "sat": {...counters...}, "ground": {...counters...}, "score": num}.
-/// Accumulates the row's propagation/conflict counters for the caller's
-/// conservation check.
-void check_profile_row(const std::string& file, const Value& row,
-                       const std::string& ctx, double* propagations,
-                       double* conflicts) {
-  if (!row.is_object()) {
-    fail(file, ctx + ": not an object");
-    return;
+/// The value at `keys` below `v`, or nullptr.
+const Value* at(const Value& v, std::initializer_list<const char*> keys) {
+  const Value* cur = &v;
+  for (const char* k : keys) {
+    if ((cur = cur->find(k)) == nullptr) return nullptr;
   }
-  require_string(file, row, "name", ctx);
-  require_number(file, row, "score", ctx);
-  const Value* src = row.find("source");
-  if (src == nullptr || !src->is_object()) {
-    fail(file, ctx + ": no \"source\" object");
-  } else if (require_bool(file, *src, "known", ctx + "/source") &&
-             src->find("known")->as_bool()) {
-    require_number(file, *src, "line", ctx + "/source");
-    require_number(file, *src, "col", ctx + "/source");
-  }
-  const Value* s = row.find("sat");
-  if (s == nullptr || !s->is_object()) {
-    fail(file, ctx + ": no \"sat\" object");
-  } else {
-    for (const char* field :
-         {"propagations", "conflicts", "participations", "learned"}) {
-      require_number(file, *s, field, ctx + "/sat");
-    }
-    if (propagations != nullptr && s->find("propagations") != nullptr &&
-        s->find("propagations")->is_number()) {
-      *propagations += s->find("propagations")->as_double();
-    }
-    if (conflicts != nullptr && s->find("conflicts") != nullptr &&
-        s->find("conflicts")->is_number()) {
-      *conflicts += s->find("conflicts")->as_double();
-    }
-  }
-  const Value* g = row.find("ground");
-  if (g == nullptr || !g->is_object()) {
-    fail(file, ctx + ": no \"ground\" object");
-  } else {
-    for (const char* field :
-         {"instantiations", "join_candidates", "emitted", "seconds"}) {
-      require_number(file, *g, field, ctx + "/ground");
+  return cur;
+}
+
+/// The element count of the array or object at `keys`, as text.
+std::string size_at(const Value& v, std::initializer_list<const char*> keys) {
+  const Value* x = at(v, keys);
+  return std::to_string(x->is_array() ? x->as_array().size()
+                                      : x->as_object().size());
+}
+
+// ---- Cross-field hooks -----------------------------------------------------
+// A hook runs only on an object whose fields all validated, so it relies on
+// the shapes the table gives them.
+
+/// splice-batch-v1: the envelope counters match the result rows.
+void batch_counts(const std::string& file, const Value& doc,
+                  const std::string&) {
+  const auto& results = doc.find("results")->as_array();
+  auto rows = static_cast<std::int64_t>(results.size());
+  std::int64_t ok = std::count_if(
+      results.begin(), results.end(),
+      [](const Value& row) { return row.find("ok")->as_bool(); });
+  const std::pair<const char*, std::int64_t> want[] = {
+      {"requests", rows}, {"succeeded", ok}, {"failed", rows - ok}};
+  for (const auto& [field, n] : want) {
+    std::int64_t declared = doc.find(field)->as_int();
+    if (declared != n) {
+      fail_at(file, field,
+              std::to_string(declared) + " does not match the " +
+                  std::to_string(n) + " matching result row(s)");
     }
   }
 }
 
-/// {"schema": "splice-profile-v1", "requests": [str], "sat": bool,
-///  "stats": {...SolveStats...},
-///  "profile": {"totals": {...}, "directives": [row], "predicates": [row],
-///              "buckets": [row]}}
-/// Beyond shape, re-checks the profiler's conservation contract: directive
-/// plus bucket rows must partition the solver's propagation/conflict totals.
-void check_profile(const std::string& file, const Value& doc) {
-  int before = errors;
-  const Value* reqs = doc.find("requests");
-  if (reqs == nullptr || !reqs->is_array() || reqs->as_array().empty()) {
-    fail(file, "no non-empty \"requests\" array");
-  } else {
-    std::size_t i = 0;
-    for (const Value& r : reqs->as_array()) {
-      if (!r.is_string()) {
-        fail(file, "requests[" + std::to_string(i) + "]: not a string");
-      }
-      ++i;
-    }
-  }
-  require_bool(file, doc, "sat", "document");
-  const Value* stats = doc.find("stats");
-  if (stats == nullptr || !stats->is_object()) {
-    fail(file, "no \"stats\" object");
-  } else {
-    for (const char* field : {"ground_seconds", "solve_seconds", "conflicts",
-                              "decisions", "propagations"}) {
-      require_number(file, *stats, field, "stats");
-    }
-  }
-  const Value* prof = doc.find("profile");
-  if (prof == nullptr || !prof->is_object()) {
-    fail(file, "no \"profile\" object");
-    return;
-  }
-  const Value* totals = prof->find("totals");
-  double total_props = -1;
-  double total_confls = -1;
-  if (totals == nullptr || !totals->is_object()) {
-    fail(file, "profile: no \"totals\" object");
-  } else {
-    const Value* sat = totals->find("sat");
-    if (sat == nullptr || !sat->is_object()) {
-      fail(file, "profile/totals: no \"sat\" object");
-    } else {
-      for (const char* field : {"decisions", "conflicts", "propagations",
-                                "restarts", "learned"}) {
-        require_number(file, *sat, field, "profile/totals/sat");
-      }
-      if (sat->find("propagations") != nullptr &&
-          sat->find("propagations")->is_number()) {
-        total_props = sat->find("propagations")->as_double();
-      }
-      if (sat->find("conflicts") != nullptr &&
-          sat->find("conflicts")->is_number()) {
-        total_confls = sat->find("conflicts")->as_double();
-      }
-    }
-    const Value* ground = totals->find("ground");
-    if (ground == nullptr || !ground->is_object()) {
-      fail(file, "profile/totals: no \"ground\" object");
-    } else {
-      for (const char* field : {"rules", "choices", "seconds"}) {
-        require_number(file, *ground, field, "profile/totals/ground");
-      }
-    }
-    require_number(file, *totals, "learned_total", "profile/totals");
-    require_number(file, *totals, "learned_without_origin", "profile/totals");
-  }
-  // Directive + bucket rows partition the SAT totals (buckets include
-  // "encoding-internal", the predicate-table rollup, and "unattributed");
-  // the predicates table is informational (already counted via the rollup).
-  double props = 0;
-  double confls = 0;
-  for (const char* table : {"directives", "predicates", "buckets"}) {
-    const Value* rows = prof->find(table);
-    if (rows == nullptr || !rows->is_array()) {
-      fail(file, std::string("profile: no \"") + table + "\" array");
-      continue;
-    }
-    bool counted = std::string(table) != "predicates";
-    std::size_t i = 0;
-    for (const Value& row : rows->as_array()) {
-      check_profile_row(file, row,
-                        std::string(table) + "[" + std::to_string(i++) + "]",
-                        counted ? &props : nullptr,
-                        counted ? &confls : nullptr);
-    }
-  }
-  if (total_props >= 0 && props != total_props) {
-    fail(file, "conservation: directives+buckets propagations " +
-                   std::to_string(props) + " != totals " +
-                   std::to_string(total_props));
-  }
-  if (total_confls >= 0 && confls != total_confls) {
-    fail(file, "conservation: directives+buckets conflicts " +
-                   std::to_string(confls) + " != totals " +
-                   std::to_string(total_confls));
-  }
-  if (errors == before) {
-    std::size_t n = 0;
-    const Value* dirs = prof->find("directives");
-    if (dirs != nullptr && dirs->is_array()) n = dirs->as_array().size();
-    std::printf("trace_check: %s: profile OK (%zu directive row(s))\n",
-                file.c_str(), n);
+/// repo-audit-v1: summary/errors counts the error-severity findings.
+void audit_error_count(const std::string& file, const Value& doc,
+                       const std::string&) {
+  const Value& declared = *at(doc, {"summary", "errors"});
+  const auto& findings = doc.find("findings")->as_array();
+  std::int64_t counted = std::count_if(
+      findings.begin(), findings.end(),
+      [](const Value& f) { return *f.find("severity") == Value("error"); });
+  if (declared.is_int() && declared.as_int() >= 0 &&
+      declared.as_int() != counted) {
+    fail_at(file, "summary/errors",
+            "says " + declared.dump() + " error(s) but findings contain " +
+                std::to_string(counted));
   }
 }
 
-/// One audit finding object — the shape shared between `repo-audit-v1`
-/// ("findings" items) and `repo-audit-cache-v1` (cached per-task findings).
-/// Returns true when the finding carries severity "error".
-bool check_audit_finding(const std::string& file, const Value& f,
-                         const std::string& ctx) {
-  bool is_error = false;
-  if (!f.is_object()) {
-    fail(file, ctx + ": not an object");
-    return false;
-  }
-  for (const char* field : {"id", "package", "directive", "message"}) {
-    require_string(file, f, field, ctx);
-  }
-  const Value* sev = f.find("severity");
-  if (sev == nullptr || !sev->is_string()) {
-    fail(file, ctx + ": missing string \"severity\"");
-  } else {
-    const std::string& s = sev->as_string();
-    if (s != "error" && s != "warning" && s != "info") {
-      fail(file,
-           ctx + ": severity \"" + s + "\" not one of error/warning/info");
-    }
-    if (s == "error") is_error = true;
-  }
-  const Value* src = f.find("source");
-  if (src == nullptr || !src->is_object()) {
-    fail(file, ctx + ": no \"source\" object");
-  } else if (require_bool(file, *src, "known", ctx + "/source")) {
-    require_number(file, *src, "index", ctx + "/source");
-    if (src->find("known")->as_bool()) {
-      require_string(file, *src, "file", ctx + "/source");
-      require_number(file, *src, "line", ctx + "/source");
-    }
-  }
-  const Value* related = f.find("related");
-  if (related == nullptr || !related->is_array()) {
-    fail(file, ctx + ": no \"related\" array");
-  } else {
-    std::size_t j = 0;
-    for (const Value& r : related->as_array()) {
-      if (!r.is_string()) {
-        fail(file, ctx + "/related[" + std::to_string(j) + "]: not a string");
+/// splice-profile-v1: directive plus bucket rows partition the solver's
+/// propagation and conflict totals (buckets include "encoding-internal",
+/// the predicate-table rollup, and "unattributed"; the predicates table is
+/// informational, already counted via the rollup).
+void profile_conservation(const std::string& file, const Value& prof,
+                          const std::string& path) {
+  for (const char* counter : {"propagations", "conflicts"}) {
+    double total = at(prof, {"totals", "sat", counter})->as_double();
+    double sum = 0;
+    for (const char* table : {"directives", "buckets"}) {
+      for (const Value& row : prof.find(table)->as_array()) {
+        sum += at(row, {"sat", counter})->as_double();
       }
-      ++j;
+    }
+    if (total >= 0 && sum != total) {
+      fail_at(file, join(path, std::string("totals/sat/") + counter),
+              "conservation: directives+buckets sum " + std::to_string(sum) +
+                  " != total " + std::to_string(total));
     }
   }
-  return is_error;
 }
 
-/// {"schema": "repo-audit-v1", "repo": {...counts...},
-///  "summary": {errors, warnings, infos, clean},
-///  "findings": [{id, severity, package, directive, message, source,
-///                related}]}
-void check_repo_audit(const std::string& file, const Value& doc) {
-  int before = errors;
-  const Value* repo = doc.find("repo");
-  if (repo == nullptr || !repo->is_object()) {
-    fail(file, "no \"repo\" object");
-  } else {
-    for (const char* field : {"packages", "virtuals", "splice_directives",
-                              "binaries", "encoding_programs"}) {
-      require_number(file, *repo, field, "repo");
-    }
-  }
-  const Value* summary = doc.find("summary");
-  std::int64_t declared_errors = -1;
-  if (summary == nullptr || !summary->is_object()) {
-    fail(file, "no \"summary\" object");
-  } else {
-    for (const char* field : {"errors", "warnings", "infos"}) {
-      require_number(file, *summary, field, "summary");
-    }
-    require_bool(file, *summary, "clean", "summary");
-    const Value* e = summary->find("errors");
-    if (e != nullptr && e->is_int()) declared_errors = e->as_int();
-  }
-  const Value* findings = doc.find("findings");
-  if (findings == nullptr || !findings->is_array()) {
-    fail(file, "no \"findings\" array");
-    return;
-  }
-  std::int64_t counted_errors = 0;
+/// splice-flight-v1: event sequence numbers strictly increase.
+void flight_seq_increasing(const std::string& file, const Value& doc,
+                           const std::string&) {
+  std::int64_t last = -1;
   std::size_t i = 0;
-  for (const Value& f : findings->as_array()) {
-    std::string ctx = "findings[" + std::to_string(i++) + "]";
-    if (check_audit_finding(file, f, ctx)) ++counted_errors;
-  }
-  if (declared_errors >= 0 && declared_errors != counted_errors) {
-    fail(file, "summary says " + std::to_string(declared_errors) +
-                   " error(s) but findings contain " +
-                   std::to_string(counted_errors));
-  }
-  if (errors == before) {
-    std::printf("trace_check: %s: repo audit OK (%zu findings)\n", file.c_str(),
-                findings->as_array().size());
+  for (const Value& ev : doc.find("events")->as_array()) {
+    const Value& seq = *ev.find("seq");
+    if (seq.is_int() && seq.as_int() <= last) {
+      fail_at(file, "events[" + std::to_string(i) + "]/seq",
+              "not strictly increasing");
+    }
+    if (seq.is_int()) last = seq.as_int();
+    ++i;
   }
 }
 
-/// {"schema": "repo-audit-cache-v1",
-///  "entries": {"group/package": {key, programs, findings: [...]}}}
-/// Task ids are "group/name" (or "group//name" for repo-level tasks) with a
-/// known group; keys are 32-hex content hashes (AuditFingerprints).
-void check_audit_cache(const std::string& file, const Value& doc) {
-  int before = errors;
-  const Value* entries = doc.find("entries");
-  if (entries == nullptr || !entries->is_object()) {
-    fail(file, "no \"entries\" object");
-    return;
-  }
-  for (const auto& [task, entry] : entries->as_object()) {
-    std::string ctx = "entries/" + task;
+/// repo-audit-cache-v1: task ids are "group/name" (or "group//name" for
+/// repo-level tasks) with a known check group; keys are 32-hex content
+/// hashes (AuditFingerprints).
+void audit_cache_ids(const std::string& file, const Value& doc,
+                     const std::string&) {
+  for (const auto& [task, entry] : doc.find("entries")->as_object()) {
     std::size_t slash = task.find('/');
-    std::string group = slash == std::string::npos ? "" : task.substr(0, slash);
-    if (group != "constraint" && group != "provider" && group != "splice" &&
-        group != "encoding") {
-      fail(file, ctx + ": task id has no known check-group prefix");
+    std::string group = task.substr(0, slash);
+    if (slash == std::string::npos || slash + 1 == task.size() ||
+        (group != "constraint" && group != "provider" && group != "splice" &&
+         group != "encoding")) {
+      fail_at(file, "entries/" + task,
+              "task id is not \"group/name\" with a known check group");
     }
-    if (slash == std::string::npos || slash + 1 >= task.size()) {
-      fail(file, ctx + ": task id has no name after the group");
-    }
-    if (!entry.is_object()) {
-      fail(file, ctx + ": not an object");
-      continue;
-    }
-    const Value* key = entry.find("key");
-    if (key == nullptr || !key->is_string()) {
-      fail(file, ctx + ": missing string \"key\"");
-    } else {
-      const std::string& k = key->as_string();
-      bool hex = k.size() == 32;
-      for (char c : k) {
-        hex = hex && ((c >= '0' && c <= '9') || (c >= 'a' && c <= 'f'));
-      }
-      if (!hex) {
-        fail(file, ctx + ": \"key\" is not a 32-hex content hash");
-      }
-    }
-    require_number(file, entry, "programs", ctx);
-    const Value* findings = entry.find("findings");
-    if (findings == nullptr || !findings->is_array()) {
-      fail(file, ctx + ": no \"findings\" array");
-      continue;
-    }
-    std::size_t i = 0;
-    for (const Value& f : findings->as_array()) {
-      check_audit_finding(file, f, ctx + "/findings[" + std::to_string(i++) +
-                                       "]");
-    }
-  }
-  if (errors == before) {
-    std::printf("trace_check: %s: audit cache OK (%zu entrie(s))\n",
-                file.c_str(), entries->as_object().size());
-  }
-}
-
-/// Recursive {name, t_us, dur_us, children: [...]} span-tree node.
-void check_flight_span(const std::string& file, const Value& node,
-                       const std::string& ctx) {
-  if (!node.is_object()) {
-    fail(file, ctx + ": not an object");
-    return;
-  }
-  require_string(file, node, "name", ctx);
-  require_number(file, node, "t_us", ctx);
-  if (require_number(file, node, "dur_us", ctx) &&
-      node.find("dur_us")->as_double() < 0) {
-    fail(file, ctx + ": negative \"dur_us\"");
-  }
-  const Value* children = node.find("children");
-  if (children != nullptr) {
-    if (!children->is_array()) {
-      fail(file, ctx + ": \"children\" is not an array");
-      return;
-    }
-    std::size_t i = 0;
-    for (const Value& c : children->as_array()) {
-      check_flight_span(file, c, ctx + "/children[" + std::to_string(i++) +
-                                     "]");
+    const std::string& key = entry.find("key")->as_string();
+    if (key.size() != 32 ||
+        key.find_first_not_of("0123456789abcdef") != std::string::npos) {
+      fail_at(file, "entries/" + task + "/key", "not a 32-hex content hash");
     }
   }
 }
 
-/// {"schema": "splice-flight-v1", "reason": ..., "capacity": ...,
-///  "requests": [{id, request, outcome, phases, stats, spans, ...}],
-///  "events": [{seq, t_us, req, kind, phase, tid, ...}]}
-void check_flight(const std::string& file, const Value& doc) {
-  int before = errors;
-  const Value* reason = doc.find("reason");
-  std::string r =
-      reason != nullptr && reason->is_string() ? reason->as_string() : "";
-  if (r != "slow" && r != "abnormal" && r != "watchdog" && r != "exit" &&
-      r != "signal" && r != "manual") {
-    fail(file, "reason \"" + r +
-                   "\" not one of slow/abnormal/watchdog/exit/signal/manual");
+// ---- Schemas ---------------------------------------------------------------
+
+/// One audit finding, shared by repo-audit-v1 and repo-audit-cache-v1.
+const Shape kAuditFinding = object({
+    {{"id", "package", "directive", "message"}, String},
+    {{"severity"}, one_of({"error", "warning", "info"})},
+    {{"source"}, source({{{"index"}, Number}},
+                        {{{"file"}, String}, {{"line"}, Number}})},
+    {{"related"}, array_of(String)},
+});
+
+/// One splice-profile-v1 cost-table row.
+const Shape kProfileRow = object({
+    {{"name"}, String},
+    {{"score"}, Number},
+    {{"source"}, source({}, {{{"line", "col"}, Number}})},
+    {{"sat"},
+     numbers({"propagations", "conflicts", "participations", "learned"})},
+    {{"ground"},
+     numbers({"instantiations", "join_candidates", "emitted", "seconds"})},
+});
+
+/// The splice-explain-v1 explanation of an unsatisfiable request.
+const Shape kUnsatExplanation = object({
+    {{"sat", "unconditional"}, Bool},
+    {{"core"},
+     array_of(object({
+         {{"kind", "constraint"}, String},
+         {{"ground_index"}, Number},
+         {{"packages"}, array_of(Any)},
+         {{"source"}, source({}, {{{"rule"}, String},
+                                  {{"rule_index", "line", "col"}, Number}})},
+     }))},
+    {{"stats"}, numbers({"guarded_constraints", "core_initial",
+                         "core_minimized", "minimize_solves"})},
+});
+
+/// The splice-explain-v1 explanation of a splice decision.
+const Shape kSpliceExplanation = object({
+    {{"sat"}, Bool},
+    {{"executed"}, Number},
+    {{"candidates"},
+     array_of(object({
+         {{"parent", "parent_hash", "dependency", "dependency_hash",
+           "replacement", "verdict", "directive"},
+          String},
+         {{"can_splice_held", "parent_reused", "spliced_away", "chosen"},
+          Bool},
+     }))},
+    {{"costs"}, array_of(numbers({"priority", "cost"}))},
+});
+
+/// The recursive {name, t_us, dur_us, children: [...]} span-tree node.
+const Shape kFlightSpan = object({
+    {{"name"}, String},
+    {{"t_us"}, Number},
+    {{"dur_us"}, Duration},
+    {{"children"}, array_of(ref(&kFlightSpan)), /*optional=*/true},
+});
+
+/// One splice-flight-v1 request account.
+const Shape kFlightRequest = object({
+    {{"id"}, Number},
+    {{"request"}, String},
+    {{"outcome"}, one_of({"active", "ok", "unsat", "error", "budget"})},
+    {{"begin_us", "end_us", "seconds", "builds", "reused", "splices"},
+     Number},
+    {{"slow"}, Bool},
+    {{"phases"}, map_of(Number)},
+    {{"stats"}, numbers({"conflicts", "decisions", "propagations", "restarts",
+                         "models", "loop_nogoods", "ground_rules",
+                         "ground_atoms", "sat_vars", "sat_clauses"})},
+    {{"spans"}, array_of(kFlightSpan)},
+});
+
+struct Schema {
+  const char* name;  ///< the document's "schema"; nullptr for Chrome traces
+  Shape shape;
+  std::string (*ok)(const Value& doc);  ///< the OK line after the file name
+};
+
+const Schema kSchemas[] = {
+    // Chrome trace events (splice run --trace, splice flight chrome); first,
+    // as find_schema() picks this row by "traceEvents".
+    {nullptr,
+     object({{{"traceEvents"},
+              array_of(when(object({{{"name"}, String},
+                                    {{"ph"}, one_of({"X", "i"})},
+                                    {{"ts", "pid", "tid"}, Number}}),
+                            "ph",
+                            {{"X", {{{"dur"}, Duration}}},
+                             {"i", {{{"s"}, String}}}}))}}),
+     [](const Value& doc) {
+       return "chrome trace OK (" + size_at(doc, {"traceEvents"}) + " events)";
+     }},
+
+    {"splice-stats-v1",  // splice run --stats, SPLICE_TRACE_STATS
+     object({{{"spans"}, map_of(numbers({"count", "total_seconds",
+                                         "mean_seconds", "min_seconds",
+                                         "max_seconds"}))},
+             {{"events"}, map_of(Integer)},
+             {{"metrics"},
+              object({{{"counters", "gauges", "histograms"}, Object}})}}),
+     [](const Value& doc) {
+       return "stats OK (" + size_at(doc, {"spans"}) + " span keys)";
+     }},
+
+    // bench/ result files.  A cell's optional comparison direction
+    // (bench_diff inverts its regression verdict for "higher") comes with
+    // the value's unit.
+    {"splice-bench-v1",
+     object({{{"bench"}, String},
+             {{"series"},
+              map_of(map_of(when(
+                  object({{{"n", "mean_seconds", "median_seconds",
+                            "p90_seconds", "min_seconds", "max_seconds"},
+                           Number},
+                          {{"direction"}, one_of({"lower", "higher"}), true}}),
+                  "direction",
+                  {{"lower", {{{"unit"}, String}}},
+                   {"higher", {{{"unit"}, String}}}})))}}),
+     [](const Value& doc) {
+       std::size_t cells = 0;
+       for (const auto& [series, labels] : doc.find("series")->as_object()) {
+         cells += labels.as_object().size();
+       }
+       return "bench results OK (" + std::to_string(cells) + " cells)";
+     }},
+
+    // splice run --json.  Results keep input order: ok rows carry the
+    // concretization counts, failed rows the error message.
+    {"splice-batch-v1",
+     object({{{"jobs", "workers", "requests", "succeeded", "failed"}, Count},
+             {{"seconds", "throughput_rps"}, Number},
+             {{"results"},
+              array_of(when(
+                  object({{{"request"}, String},
+                          {{"seconds"}, Number},
+                          {{"ok"}, Bool}}),
+                  "ok",
+                  {{true, {{{"nodes", "builds", "reused", "splices"}, Count}}},
+                   {false, {{{"error"}, Text}}}}))}},
+            batch_counts),
+     [](const Value& doc) {
+       return "batch report OK (" + size_at(doc, {"results"}) +
+              " result(s), " + doc.find("succeeded")->dump() + " ok, " +
+              doc.find("failed")->dump() + " failed)";
+     }},
+
+    {"splice-explain-v1",  // splice explain --json
+     when(object({{{"mode"}, one_of({"unsat", "splice"})},
+                  {{"requests"}, array_of(String)}}),
+          "mode",
+          {{"unsat", {{{"explanation"}, kUnsatExplanation}}},
+           {"splice", {{{"explanation"}, kSpliceExplanation}}}}),
+     [](const Value& doc) {
+       return "explain (" + doc.find("mode")->as_string() + ") OK";
+     }},
+
+    {"splice-profile-v1",  // splice profile --json
+     object({{{"requests"}, array_of(String, NonEmptyArray)},
+             {{"sat"}, Bool},
+             {{"stats"}, numbers({"ground_seconds", "solve_seconds",
+                                  "conflicts", "decisions", "propagations"})},
+             {{"profile"},
+              object({{{"totals"},
+                       object({{{"sat"}, numbers({"decisions", "conflicts",
+                                                  "propagations", "restarts",
+                                                  "learned"})},
+                               {{"ground"},
+                                numbers({"rules", "choices", "seconds"})},
+                               {{"learned_total", "learned_without_origin"},
+                                Number}})},
+                      {{"directives", "predicates", "buckets"},
+                       array_of(kProfileRow)}},
+                     profile_conservation)}}),
+     [](const Value& doc) {
+       return "profile OK (" + size_at(doc, {"profile", "directives"}) +
+              " directive row(s))";
+     }},
+
+    {"repo-audit-v1",  // repo_audit --json
+     object({{{"repo"}, numbers({"packages", "virtuals", "splice_directives",
+                                 "binaries", "encoding_programs"})},
+             {{"summary"}, object({{{"errors", "warnings", "infos"}, Number},
+                                   {{"clean"}, Bool}})},
+             {{"findings"}, array_of(kAuditFinding)}},
+            audit_error_count),
+     [](const Value& doc) {
+       return "repo audit OK (" + size_at(doc, {"findings"}) + " findings)";
+     }},
+
+    {"repo-audit-cache-v1",  // repo_audit --cache-dir, --incremental
+     object({{{"entries"}, map_of(object({{{"key"}, String},
+                                          {{"programs"}, Number},
+                                          {{"findings"},
+                                           array_of(kAuditFinding)}}))}},
+            audit_cache_ids),
+     [](const Value& doc) {
+       return "audit cache OK (" + size_at(doc, {"entries"}) + " entrie(s))";
+     }},
+
+    {"splice-flight-v1",  // splice run --flight, slow dumps, SPLICE_FLIGHT_*
+     object({{{"reason"}, one_of({"slow", "abnormal", "watchdog", "exit",
+                                  "signal", "manual"})},
+             {{"capacity", "total_events", "dropped_events", "slow_ms",
+               "slow_conflicts"},
+              Number},
+             {{"requests"}, array_of(kFlightRequest)},
+             {{"events"},
+              array_of(object({{{"seq", "t_us", "req", "tid"}, Number},
+                               {{"kind", "phase"}, String}}))}},
+            flight_seq_increasing),
+     [](const Value& doc) {
+       return "flight recording OK (" + size_at(doc, {"requests"}) +
+              " request(s), " + size_at(doc, {"events"}) + " event(s))";
+     }},
+};
+
+/// The row for `doc`: Chrome traces by "traceEvents", the rest by "schema".
+const Schema* find_schema(const Value& doc) {
+  if (doc.find("traceEvents") != nullptr) return &kSchemas[0];
+  const Value* name = doc.find("schema");
+  for (const Schema& s : kSchemas) {
+    if (s.name != nullptr && name != nullptr && *name == s.name) return &s;
   }
-  for (const char* field : {"capacity", "total_events", "dropped_events",
-                            "slow_ms", "slow_conflicts"}) {
-    require_number(file, doc, field, "flight");
-  }
-  const Value* reqs = doc.find("requests");
-  if (reqs == nullptr || !reqs->is_array()) {
-    fail(file, "no \"requests\" array");
-    return;
-  }
-  std::size_t i = 0;
-  for (const Value& req : reqs->as_array()) {
-    std::string ctx = "requests[" + std::to_string(i++) + "]";
-    if (!req.is_object()) {
-      fail(file, ctx + ": not an object");
-      continue;
-    }
-    require_number(file, req, "id", ctx);
-    require_string(file, req, "request", ctx);
-    const Value* outcome = req.find("outcome");
-    std::string o =
-        outcome != nullptr && outcome->is_string() ? outcome->as_string() : "";
-    if (o != "active" && o != "ok" && o != "unsat" && o != "error" &&
-        o != "budget") {
-      fail(file, ctx + ": outcome \"" + o +
-                     "\" not one of active/ok/unsat/error/budget");
-    }
-    for (const char* field :
-         {"begin_us", "end_us", "seconds", "builds", "reused", "splices"}) {
-      require_number(file, req, field, ctx);
-    }
-    require_bool(file, req, "slow", ctx);
-    const Value* phases = req.find("phases");
-    if (phases == nullptr || !phases->is_object()) {
-      fail(file, ctx + ": no \"phases\" object");
-    } else {
-      for (const auto& [name, seconds] : phases->as_object()) {
-        if (!seconds.is_number()) {
-          fail(file, ctx + "/phases/" + name + ": not a number");
-        }
-      }
-    }
-    const Value* stats = req.find("stats");
-    if (stats == nullptr || !stats->is_object()) {
-      fail(file, ctx + ": no \"stats\" object");
-    } else {
-      for (const char* field :
-           {"conflicts", "decisions", "propagations", "restarts", "models",
-            "loop_nogoods", "ground_rules", "ground_atoms", "sat_vars",
-            "sat_clauses"}) {
-        require_number(file, *stats, field, ctx + "/stats");
-      }
-    }
-    const Value* spans = req.find("spans");
-    if (spans == nullptr || !spans->is_array()) {
-      fail(file, ctx + ": no \"spans\" array");
-    } else {
-      std::size_t j = 0;
-      for (const Value& s : spans->as_array()) {
-        check_flight_span(file, s, ctx + "/spans[" + std::to_string(j++) +
-                                       "]");
-      }
-    }
-  }
-  const Value* events = doc.find("events");
-  if (events == nullptr || !events->is_array()) {
-    fail(file, "no \"events\" array");
-    return;
-  }
-  std::int64_t last_seq = -1;
-  std::size_t j = 0;
-  for (const Value& ev : events->as_array()) {
-    std::string ctx = "events[" + std::to_string(j++) + "]";
-    if (!ev.is_object()) {
-      fail(file, ctx + ": not an object");
-      continue;
-    }
-    for (const char* field : {"seq", "t_us", "req", "tid"}) {
-      require_number(file, ev, field, ctx);
-    }
-    require_string(file, ev, "kind", ctx);
-    require_string(file, ev, "phase", ctx);
-    const Value* seq = ev.find("seq");
-    if (seq != nullptr && seq->is_int()) {
-      if (seq->as_int() <= last_seq) {
-        fail(file, ctx + ": \"seq\" not strictly increasing");
-      }
-      last_seq = seq->as_int();
-    }
-  }
-  if (errors == before) {
-    std::printf("trace_check: %s: flight recording OK "
-                "(%zu request(s), %zu event(s))\n",
-                file.c_str(), reqs->as_array().size(),
-                events->as_array().size());
-  }
+  return nullptr;
 }
 
 // ---- Prometheus text exposition (version 0.0.4) ----------------------------
@@ -1062,32 +775,18 @@ void check_file(const std::string& file) {
     fail(file, "top level is not an object");
     return;
   }
-  if (doc.find("traceEvents") != nullptr) {
-    check_chrome_trace(file, doc);
+  const Schema* schema = find_schema(doc);
+  if (schema == nullptr) {
+    const Value* name = doc.find("schema");
+    fail(file, "unrecognized document (no traceEvents, schema=" +
+                   (name != nullptr ? name->dump() : "none") + ")");
     return;
   }
-  const Value* schema = doc.find("schema");
-  std::string name =
-      schema != nullptr && schema->is_string() ? schema->as_string() : "";
-  if (name == "splice-stats-v1") {
-    check_stats(file, doc);
-  } else if (name == "splice-bench-v1") {
-    check_bench(file, doc);
-  } else if (name == "splice-batch-v1") {
-    check_batch(file, doc);
-  } else if (name == "splice-explain-v1") {
-    check_explain(file, doc);
-  } else if (name == "splice-profile-v1") {
-    check_profile(file, doc);
-  } else if (name == "repo-audit-v1") {
-    check_repo_audit(file, doc);
-  } else if (name == "repo-audit-cache-v1") {
-    check_audit_cache(file, doc);
-  } else if (name == "splice-flight-v1") {
-    check_flight(file, doc);
-  } else {
-    fail(file, "unrecognized document (no traceEvents, schema=\"" + name +
-                   "\")");
+  int before = errors;
+  check(file, doc, schema->shape, "");
+  if (errors == before) {
+    std::printf("trace_check: %s: %s\n", file.c_str(),
+                schema->ok(doc).c_str());
   }
 }
 
