@@ -25,38 +25,51 @@
 #include <cstdlib>
 #include <fstream>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "src/concretize/concretizer.hpp"
 #include "src/support/json.hpp"
+#include "src/support/strings.hpp"
 #include "src/support/trace.hpp"
 #include "src/workload/caches.hpp"
 #include "src/workload/radiuss.hpp"
 
 namespace splice::bench {
 
+/// A set-but-malformed knob warns on stderr; the caller falls back.
+inline void warn_knob(const char* name, const char* value) {
+  std::fprintf(stderr, "bench: warning: ignoring malformed %s=\"%s\"\n",
+               name, value);
+}
+
+/// A count knob, parsed strictly (splice::parse_count).
 inline std::size_t env_size(const char* name, std::size_t fallback) {
   const char* v = std::getenv(name);
   if (v == nullptr || *v == '\0') return fallback;
-  return static_cast<std::size_t>(std::strtoull(v, nullptr, 10));
+  if (std::optional<std::uint64_t> n = parse_count(v)) return *n;
+  warn_knob(name, v);
+  return fallback;
 }
 
-inline std::vector<std::string> env_roots(const std::vector<std::string>& dflt) {
-  const char* v = std::getenv("SPLICE_BENCH_ROOTS");
-  if (v == nullptr || *v == '\0') return dflt;
+/// A comma-separated list knob; empty fields are skipped, and a list with
+/// no field at all is malformed.
+inline std::vector<std::string> env_list(const char* name,
+                                         std::vector<std::string> fallback) {
+  const char* v = std::getenv(name);
+  if (v == nullptr || *v == '\0') return fallback;
   std::vector<std::string> out;
-  std::string cur;
-  for (const char* p = v;; ++p) {
-    if (*p == ',' || *p == '\0') {
-      if (!cur.empty()) out.push_back(cur);
-      cur.clear();
-      if (*p == '\0') break;
-    } else {
-      cur.push_back(*p);
-    }
+  for (std::string& field : split(v, ',')) {
+    if (!field.empty()) out.push_back(std::move(field));
   }
-  return out;
+  if (!out.empty()) return out;
+  warn_knob(name, v);
+  return fallback;
+}
+
+inline std::vector<std::string> env_roots(std::vector<std::string> dflt) {
+  return env_list("SPLICE_BENCH_ROOTS", std::move(dflt));
 }
 
 /// Online mean/stddev accumulator keyed by (series, label).
@@ -177,9 +190,7 @@ template <typename F>
 double time_call(F&& f, std::string_view label = "call") {
   trace::Span span(label, "bench");
   f();
-  double seconds = span.seconds();
-  span.end();
-  return seconds;
+  return span.end();
 }
 
 inline double pct_increase(double base, double value) {

@@ -22,6 +22,7 @@
 // SPLICE_BENCH_JOBS (default "1,4,8").
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -38,19 +39,17 @@ using concretize::ConcretizerPool;
 using concretize::PoolOptions;
 using concretize::Request;
 
+/// SPLICE_BENCH_JOBS: comma-separated worker counts.
 std::vector<std::size_t> env_jobs() {
-  const char* v = std::getenv("SPLICE_BENCH_JOBS");
-  std::string text = (v != nullptr && *v != '\0') ? v : "1,4,8";
   std::vector<std::size_t> out;
-  std::string cur;
-  for (std::size_t i = 0;; ++i) {
-    if (i == text.size() || text[i] == ',') {
-      if (!cur.empty()) out.push_back(std::strtoull(cur.c_str(), nullptr, 10));
-      cur.clear();
-      if (i == text.size()) break;
-    } else {
-      cur.push_back(text[i]);
+  for (const std::string& field :
+       env_list("SPLICE_BENCH_JOBS", {"1", "4", "8"})) {
+    std::optional<std::uint64_t> n = parse_count(field);
+    if (!n) {
+      warn_knob("SPLICE_BENCH_JOBS", std::getenv("SPLICE_BENCH_JOBS"));
+      return {1, 4, 8};
     }
+    out.push_back(*n);
   }
   return out;
 }

@@ -697,9 +697,14 @@ struct RepoAuditor::Task {
   std::function<std::size_t(std::vector<Finding>&)> fn;  ///< returns programs
 };
 
-void RepoAuditor::run_tasks(std::vector<Task>& tasks, AuditCache* cache,
+void RepoAuditor::run_tasks(std::string_view group, std::vector<Task>& tasks,
+                            AuditCache* cache,
                             std::set<std::string>& live_tasks,
                             AuditReport& out) const {
+  // One flight request per group, so a batch audit can attribute wall time
+  // per group after the fact.
+  flight::RequestScope request("audit " + std::string(group));
+  flight::PhaseScope phase(flight::Phase::Audit, group, "audit");
   struct Slot {
     std::vector<Finding> findings;
     std::size_t programs = 0;
@@ -768,11 +773,7 @@ AuditReport RepoAuditor::run(AuditCache* cache) const {
   if (cache != nullptr) fp.emplace(repo_, binaries_, opts_);
   std::set<std::string> live_tasks;
 
-  // Each check group runs under its own flight-recorder request so a batch
-  // audit can attribute wall time per group after the fact.
   if (opts_.constraint_checks) {
-    flight::RequestScope req("audit constraint-checks");
-    flight::PhaseScope phase(flight::Phase::Audit);
     std::vector<Task> tasks;
     for (const std::string& name : repo_.package_names()) {
       tasks.push_back(Task{
@@ -782,11 +783,9 @@ AuditReport RepoAuditor::run(AuditCache* cache) const {
             return std::size_t{0};
           }});
     }
-    run_tasks(tasks, cache, live_tasks, out);
+    run_tasks("constraint-checks", tasks, cache, live_tasks, out);
   }
   if (opts_.provider_checks) {
-    flight::RequestScope req("audit provider-checks");
-    flight::PhaseScope phase(flight::Phase::Audit);
     std::vector<Task> tasks;
     tasks.push_back(Task{"provider//graph",
                          fp ? fp->provider_graph_key() : "",
@@ -794,11 +793,9 @@ AuditReport RepoAuditor::run(AuditCache* cache) const {
                            check_providers(findings);
                            return std::size_t{0};
                          }});
-    run_tasks(tasks, cache, live_tasks, out);
+    run_tasks("provider-checks", tasks, cache, live_tasks, out);
   }
   if (opts_.splice_checks && !binaries_.empty()) {
-    flight::RequestScope req("audit splice-safety");
-    flight::PhaseScope phase(flight::Phase::Audit);
     std::vector<Task> tasks;
     for (const std::string& name : repo_.package_names()) {
       tasks.push_back(Task{
@@ -814,14 +811,12 @@ AuditReport RepoAuditor::run(AuditCache* cache) const {
                            check_suggestions(findings);
                            return std::size_t{0};
                          }});
-    run_tasks(tasks, cache, live_tasks, out);
+    run_tasks("splice-safety", tasks, cache, live_tasks, out);
   }
   // The encoding cross-check only means something for a repo the
   // repo-level checks accept: compiled facts for a broken repo would
   // re-report the same defects as opaque compiler failures.
   if (opts_.encoding_checks && !out.has_errors()) {
-    flight::RequestScope req("audit encoding-cross-check");
-    flight::PhaseScope phase(flight::Phase::Audit);
     std::vector<Task> tasks;
     for (const std::string& name : repo_.package_names()) {
       tasks.push_back(Task{"encoding/" + name,
@@ -830,7 +825,7 @@ AuditReport RepoAuditor::run(AuditCache* cache) const {
                              return check_encoding(name, findings);
                            }});
     }
-    run_tasks(tasks, cache, live_tasks, out);
+    run_tasks("encoding-cross-check", tasks, cache, live_tasks, out);
   }
 
   if (cache != nullptr) {

@@ -214,10 +214,11 @@ class RepoAuditor {
   std::size_t check_encoding(const std::string& package,
                              std::vector<Finding>& out) const;
 
-  /// Execute one task group: cache lookups, parallel execution of the
-  /// remainder, deterministic in-order merge, cache store-back.
-  void run_tasks(std::vector<Task>& tasks, AuditCache* cache,
-                 std::set<std::string>& live_tasks, AuditReport& out) const;
+  /// Execute one task group as one flight request: cache lookups, parallel
+  /// execution of the remainder, in-order merge, cache store-back.
+  void run_tasks(std::string_view group, std::vector<Task>& tasks,
+                 AuditCache* cache, std::set<std::string>& live_tasks,
+                 AuditReport& out) const;
 
   /// Constraint-check one spec (a when= condition or a directive target)
   /// node-by-node against the declaring repo.  `when_side` selects the

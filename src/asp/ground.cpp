@@ -271,20 +271,23 @@ class Grounder {
 
   GroundProgram run() {
     trace::Span span("ground", "asp");
-    auto t0 = std::chrono::steady_clock::now();
     seed_facts();
     prepare_rules();
     fixpoint();
     certain_closure();
     GroundProgram out;
     emit(out);
-    auto t1 = std::chrono::steady_clock::now();
     out.stats.possible_atoms = store_.size();
     out.stats.certain_atoms = certain_list_.size();
     out.stats.rules = out.rules.size();
     out.stats.choices = out.choices.size();
     out.stats.iterations = iterations_;
-    out.stats.seconds = std::chrono::duration<double>(t1 - t0).count();
+    span.attr("possible_atoms", out.stats.possible_atoms);
+    span.attr("certain_atoms", out.stats.certain_atoms);
+    span.attr("rules", out.stats.rules);
+    span.attr("choices", out.stats.choices);
+    span.attr("iterations", out.stats.iterations);
+    out.stats.seconds = span.end();
     if (prov_) {
       out.stats.provenance_bytes = prov_->approx_bytes();
       trace::Tracer& tracer = trace::Tracer::global();
@@ -296,11 +299,6 @@ class Grounder {
       out.provenance = std::move(prov_);
     }
     if (gprof_) out.profile = std::move(gprof_);
-    span.attr("possible_atoms", out.stats.possible_atoms);
-    span.attr("certain_atoms", out.stats.certain_atoms);
-    span.attr("rules", out.stats.rules);
-    span.attr("choices", out.stats.choices);
-    span.attr("iterations", out.stats.iterations);
     flight::Recorder::global().emit(
         flight::EventKind::GroundDone,
         static_cast<std::int64_t>(out.stats.possible_atoms),

@@ -1,7 +1,6 @@
 #include "src/asp/solve.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <map>
 #include <memory>
 
@@ -99,15 +98,13 @@ SolveResult solve_ground(const GroundProgram& gp, const SolveOptions& opts) {
                            tracer.enabled() || flightrec.enabled();
   SolveEventFn emit;
 
-  auto t0 = std::chrono::steady_clock::now();
   std::unique_ptr<Translation> tr;
   {
     trace::Span ts("translate", "asp");
     tr = std::make_unique<Translation>(gp, /*guard_constraints=*/false,
                                        opts.profile);
+    result.stats.translate_seconds = ts.end();
   }
-  auto t1 = std::chrono::steady_clock::now();
-  result.stats.translate_seconds = std::chrono::duration<double>(t1 - t0).count();
   result.stats.sat_vars = tr->solver().num_vars();
   result.stats.sat_clauses = tr->solver().num_clauses();
   span.attr("sat_vars", result.stats.sat_vars);
@@ -198,11 +195,10 @@ SolveResult solve_ground(const GroundProgram& gp, const SolveOptions& opts) {
       sat::Solver::Result::Unsat) {
     finish_stats(*tr);
     capture_profile(*tr);
-    auto t2 = std::chrono::steady_clock::now();
-    result.stats.solve_seconds = std::chrono::duration<double>(t2 - t1).count();
     result.sat = false;
     span.attr("sat", false);
     span.attr("conflicts", result.stats.conflicts);
+    result.stats.solve_seconds = span.end() - result.stats.translate_seconds;
     return result;
   }
   result.sat = true;
@@ -292,14 +288,13 @@ SolveResult solve_ground(const GroundProgram& gp, const SolveOptions& opts) {
 
   finish_stats(*tr);
   capture_profile(*tr);
-  auto t3 = std::chrono::steady_clock::now();
-  result.stats.solve_seconds = std::chrono::duration<double>(t3 - t1).count();
   result.model = std::move(best);
   span.attr("sat", true);
   span.attr("conflicts", result.stats.conflicts);
   span.attr("decisions", result.stats.decisions);
   span.attr("models_enumerated", result.stats.models_enumerated);
   span.attr("loop_nogoods", result.stats.loop_nogoods);
+  result.stats.solve_seconds = span.end() - result.stats.translate_seconds;
   return result;
 }
 

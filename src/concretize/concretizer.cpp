@@ -639,31 +639,18 @@ asp::Program Concretizer::compile_program(
   return compiler.compile(requests);
 }
 
-namespace {
-void resolve_directive_locs(const repo::Repository& repo, asp::Profile& prof);
-}  // namespace
-
 ProfileReport Concretizer::profile(const std::vector<Request>& requests) const {
-  if (requests.empty()) throw Error("profile: no requests");
-  trace::Span span("profile", "concretize");
-  Program program = compile_program(requests);
-  asp::GroundOptions gopts;
-  gopts.record_provenance = true;
-  gopts.profile = true;
-  asp::GroundProgram gp = asp::ground(program, gopts);
-  asp::SolveOptions sopts;
-  sopts.profile = true;
-  asp::SolveResult solved = asp::solve_ground(gp, sopts);
-
   ProfileReport report;
-  report.requests.reserve(requests.size());
-  for (const Request& r : requests) report.requests.push_back(r.root.str());
-  report.sat = solved.sat;
-  report.stats = solved.stats;
-  if (solved.profile != nullptr) {
-    report.profile = asp::aggregate_profile(*solved.profile, program);
-    resolve_directive_locs(repo_, report.profile);
-  }
+  PassOptions po;
+  po.name = "profile";
+  po.label = "profile: ";
+  po.profile = true;
+  run_pass(requests, po, [&](Pass& pass) {
+    for (const Request& r : requests) report.requests.push_back(r.root.str());
+    report.sat = pass.solved.sat;
+    report.stats = pass.solved.stats;
+    report.profile = std::move(pass.profile);
+  });
   return report;
 }
 
@@ -855,303 +842,266 @@ void resolve_directive_locs(const repo::Repository& repo, asp::Profile& prof) {
   }
 }
 
-/// Shared outcome of a (possibly multi-root) solve before per-root
-/// extraction.
-struct SolvedDag {
-  Spec combined;
-  std::map<std::string, std::size_t> index_of;
-  std::vector<std::string> reused_hashes;
-  std::vector<std::string> build_names;
-  std::vector<SpliceDecision> splices;
-  std::vector<std::pair<std::int64_t, std::int64_t>> objectives;
-  asp::SolveStats stats;
-};
+flight::Rollup rollup_of(const asp::SolveStats& st) {
+  flight::Rollup roll;
+  roll.conflicts = static_cast<std::uint64_t>(st.conflicts);
+  roll.decisions = static_cast<std::uint64_t>(st.decisions);
+  roll.propagations = static_cast<std::uint64_t>(st.propagations);
+  roll.restarts = static_cast<std::uint64_t>(st.restarts);
+  roll.models = static_cast<std::uint64_t>(st.models_enumerated);
+  roll.loop_nogoods = static_cast<std::uint64_t>(st.loop_nogoods);
+  roll.ground_rules = static_cast<std::uint64_t>(st.ground.rules);
+  roll.ground_atoms = static_cast<std::uint64_t>(st.ground.possible_atoms);
+  roll.sat_vars = static_cast<std::uint64_t>(st.sat_vars);
+  roll.sat_clauses = static_cast<std::uint64_t>(st.sat_clauses);
+  return roll;
+}
 
 }  // namespace
 
-/// Solve and interpret; the combined DAG holds every solution node (all are
-/// reachable from some root by the node_used constraint).
-///
-/// The four phases — compile (facts + specialized rules), ground, solve, and
-/// extract (model -> concrete spec) — each run under a trace span so the
-/// observability layer can attribute end-to-end concretization time.
-static SolvedDag solve_requests(
-    const repo::Repository& repo, const ConcretizerOptions& opts,
-    const std::map<std::string, Spec>& reusable,
-    std::shared_ptr<const Concretizer::CompileCache> cache,
-    const std::vector<Request>& requests) {
-  trace::Span span("concretize", "concretize");
+void Concretizer::run_pass(const std::vector<Request>& requests,
+                           const PassOptions& po,
+                           const std::function<void(Pass&)>& step) const {
+  if (requests.empty()) throw Error(std::string(po.name) + ": no requests");
+  std::shared_ptr<const CompileCache> cache = ensure_cache(requests);
+  // The recorder's one-time set-up (a 1 MiB ring) is not request work.
+  flight::Recorder& recorder = flight::Recorder::global();
+  trace::Span span(po.name, "concretize");
   span.attr("requests", requests.size());
-  span.attr("reusable", reusable.size());
-  span.attr("splicing", opts.enable_splicing);
-
-  // Per-request flight account: every concretization gets a stable id with
-  // phase durations, solver rollups and the outcome, always-on.
-  std::string request_text;
-  for (const Request& r : requests) {
-    if (!request_text.empty()) request_text += "; ";
-    request_text += r.root.str();
-  }
-  flight::RequestScope flight_req(request_text);
-
-  Program program;
+  span.attr("reusable", reusable_.size());
+  span.attr("splicing", opts_.enable_splicing);
+  std::vector<std::string> roots;
+  for (const Request& r : requests) roots.push_back(r.root.str());
+  flight::RequestScope request(std::string(po.label) + join(roots, "; "),
+                               recorder);
+  Pass pass;
+  pass.span = &span;
   {
-    trace::Span phase("compile", "concretize");
-    flight::PhaseScope fphase(flight::Phase::Compile);
-    Concretizer::Compiler compiler(repo, opts, reusable, std::move(cache));
-    program = compiler.compile(requests);
-    phase.attr("rules", program.rules().size());
+    flight::PhaseScope phase(flight::Phase::Compile, "compile", "concretize");
+    pass.program = Compiler(repo_, opts_, reusable_, std::move(cache))
+                       .compile(requests);
+    phase.attr("rules", pass.program.rules().size());
   }
-  const bool profiling = env_profile_enabled();
-  asp::GroundProgram gp;
   {
-    trace::Span phase("ground", "concretize");
-    flight::PhaseScope fphase(flight::Phase::Ground);
+    flight::PhaseScope phase(flight::Phase::Ground, "ground", "concretize");
     asp::GroundOptions gopts;
-    if (profiling) {
-      gopts.record_provenance = true;
-      gopts.profile = true;
-    }
-    gp = asp::ground(program, gopts);
+    gopts.record_provenance = po.profile || po.keep_ground;
+    gopts.profile = po.profile;
+    pass.ground = asp::ground(pass.program, gopts);
   }
-  asp::SolveResult solved;
   {
-    trace::Span phase("solve", "concretize");
-    flight::PhaseScope fphase(flight::Phase::Solve);
+    flight::PhaseScope phase(flight::Phase::Solve, "solve", "concretize");
     asp::SolveOptions sopts;
-    sopts.profile = profiling;
-    solved = asp::solve_ground(gp, sopts);
+    sopts.profile = po.profile;
+    pass.solved = asp::solve_ground(pass.ground, sopts);
+    recorder.add_rollup(request.id(), rollup_of(pass.solved.stats));
+    // The ground program's teardown is solve-state teardown: keep it
+    // inside this phase unless the step reads it.
+    if (!po.keep_ground) pass.ground = {};
+    if (!po.keep_ground && !po.profile) pass.program = {};
   }
-  {
-    const asp::SolveStats& st = solved.stats;
-    flight::Rollup roll;
-    roll.conflicts = static_cast<std::uint64_t>(st.conflicts);
-    roll.decisions = static_cast<std::uint64_t>(st.decisions);
-    roll.propagations = static_cast<std::uint64_t>(st.propagations);
-    roll.restarts = static_cast<std::uint64_t>(st.restarts);
-    roll.models = static_cast<std::uint64_t>(st.models_enumerated);
-    roll.loop_nogoods = static_cast<std::uint64_t>(st.loop_nogoods);
-    roll.ground_rules = static_cast<std::uint64_t>(st.ground.rules);
-    roll.ground_atoms = static_cast<std::uint64_t>(st.ground.possible_atoms);
-    roll.sat_vars = static_cast<std::uint64_t>(st.sat_vars);
-    roll.sat_clauses = static_cast<std::uint64_t>(st.sat_clauses);
-    flight::Recorder& rec = flight::Recorder::global();
-    rec.add_rollup(flight_req.id(), roll);
+  flight::PhaseScope phase(flight::Phase::Extract, "extract", "concretize");
+  // The profile digest rides the account's note, so slow-request dumps name
+  // the hottest directives.
+  std::string note;
+  if (pass.solved.profile != nullptr) {
+    pass.profile = asp::aggregate_profile(*pass.solved.profile, pass.program);
+    resolve_directive_locs(repo_, pass.profile);
+    note = pass.profile.top_line(3);
   }
-  // Profile export: headline profile/* metrics plus the one-line "hot
-  // directives" digest that rides the flight account (and thus appears in
-  // slow-request dumps).
-  std::string profile_note;
-  if (profiling && solved.profile != nullptr) {
-    asp::Profile prof = asp::aggregate_profile(*solved.profile, program);
-    resolve_directive_locs(repo, prof);
-    trace::MetricsRegistry& m = trace::Tracer::global().metrics();
-    m.add("profile/solves");
-    m.add("profile/attributed_propagations",
-          static_cast<std::int64_t>(prof.sat_totals.propagations -
-                                    prof.unattributed.propagations));
-    m.add("profile/unattributed_propagations",
-          static_cast<std::int64_t>(prof.unattributed.propagations));
-    m.add("profile/attributed_conflicts",
-          static_cast<std::int64_t>(prof.sat_totals.conflicts -
-                                    prof.unattributed.conflicts));
-    m.add("profile/unattributed_conflicts",
-          static_cast<std::int64_t>(prof.unattributed.conflicts));
-    m.add("profile/learned_without_origin",
-          static_cast<std::int64_t>(prof.learned_without_origin));
-    m.set_gauge("profile/directives",
-                static_cast<double>(prof.directives.size()));
-    if (!prof.directives.empty()) {
-      m.set_gauge("profile/top_directive_score",
-                  prof.directives.front().score());
-    }
-    profile_note = prof.top_line(3);
-  }
-  if (!solved.sat) {
-    std::string what = "no concretization satisfies:";
-    for (const Request& r : requests) what += " " + r.root.str() + ";";
-    std::string note = what;
-    if (!profile_note.empty()) note += " [" + profile_note + "]";
-    flight_req.finish(flight::Outcome::Unsat, note);
-    throw UnsatisfiableError(what);
-  }
-  const asp::Model& model = solved.model;
+  const bool sat = pass.solved.sat;
+  std::string what = "no concretization satisfies: " + join(roots, "; ") + ";";
+  if (!sat) note = note.empty() ? what : what + " [" + note + "]";
+  step(pass);
+  pass = Pass{};  // the last teardown, still inside the extraction phase
+  phase.end();
+  span.end();
+  request.finish(sat ? flight::Outcome::Ok : flight::Outcome::Unsat, note);
+  if (!sat && po.throw_unsat) throw UnsatisfiableError(what);
+}
 
-  trace::Span extract_span("extract", "concretize");
-  flight::PhaseScope flight_extract(flight::Phase::Extract);
-  SolvedDag result;
-  result.stats = solved.stats;
-  result.objectives = model.costs;
-
-  auto arg_str = [](Term t, std::size_t i) {
-    return std::string(t.args()[i].name());
-  };
-  auto node_name = [&](Term t, std::size_t i) {
-    return std::string(t.args()[i].args()[0].name());
-  };
-
-  // Gather node names: the first request's root leads (so single-root
-  // callers can use the combined spec directly), the rest in name order.
-  std::map<std::string, std::size_t>& index_of = result.index_of;
-  Spec& out = result.combined;
-  const std::string& primary = requests.front().root.root().name;
-  std::set<std::string> names;
-  for (Term t : model.with_signature("attr/2")) {
-    if (t.args()[0].name() != "node") continue;
-    names.insert(node_name(t, 1));
-  }
-  names.insert(primary);
-  {
-    SpecNode r;
-    r.name = primary;
-    index_of[primary] = out.add_node(std::move(r));
-  }
-  for (const std::string& name : names) {
-    if (name == primary) continue;
-    SpecNode n;
-    n.name = name;
-    index_of[name] = out.add_node(std::move(n));
-  }
-
-  std::map<std::string, std::string> hash_of;       // node -> reused hash
-  std::vector<std::tuple<std::string, std::string, std::string>> splice_attrs;
-
-  for (Term t : model.with_signature("attr/3")) {
-    std::string kind(t.args()[0].name());
-    if (kind == "version") {
-      out.nodes()[index_of.at(node_name(t, 1))].versions =
-          spec::VersionConstraint::exactly(spec::Version::parse(arg_str(t, 2)));
-    } else if (kind == "node_os") {
-      out.nodes()[index_of.at(node_name(t, 1))].os = arg_str(t, 2);
-    } else if (kind == "node_target") {
-      out.nodes()[index_of.at(node_name(t, 1))].target = arg_str(t, 2);
-    } else if (kind == "hash") {
-      hash_of[node_name(t, 1)] = arg_str(t, 2);
+/// Extraction: the combined DAG holds every solution node (all are
+/// reachable from some root by the node_used constraint).
+EnvironmentResult Concretizer::concretize_together(
+    const std::vector<Request>& requests) const {
+  EnvironmentResult result;
+  PassOptions po;
+  po.name = "concretize";
+  po.profile = env_profile_enabled();
+  po.throw_unsat = true;
+  run_pass(requests, po, [&](Pass& pass) {
+    if (po.profile) {  // SPLICE_PROFILE's headline profile/* metrics
+      const asp::Profile& prof = pass.profile;
+      trace::MetricsRegistry& m = trace::Tracer::global().metrics();
+      m.add("profile/solves");
+      m.add("profile/attributed_propagations",
+            static_cast<std::int64_t>(prof.sat_totals.propagations -
+                                      prof.unattributed.propagations));
+      m.add("profile/unattributed_propagations",
+            static_cast<std::int64_t>(prof.unattributed.propagations));
+      m.add("profile/attributed_conflicts",
+            static_cast<std::int64_t>(prof.sat_totals.conflicts -
+                                      prof.unattributed.conflicts));
+      m.add("profile/unattributed_conflicts",
+            static_cast<std::int64_t>(prof.unattributed.conflicts));
+      m.add("profile/learned_without_origin",
+            static_cast<std::int64_t>(prof.learned_without_origin));
+      m.set_gauge("profile/directives",
+                  static_cast<double>(prof.directives.size()));
+      if (!prof.directives.empty()) {
+        m.set_gauge("profile/top_directive_score",
+                    prof.directives.front().score());
+      }
     }
-  }
-  for (Term t : model.with_signature("attr/4")) {
-    std::string kind(t.args()[0].name());
-    if (kind == "variant") {
-      out.nodes()[index_of.at(node_name(t, 1))].variants[arg_str(t, 2)] =
-          arg_str(t, 3);
-    } else if (kind == "depends_on") {
-      std::string type = arg_str(t, 3);
-      out.add_dep(index_of.at(node_name(t, 1)), index_of.at(node_name(t, 2)),
-                  type == "build" ? DepType::Build : DepType::Link);
-    } else if (kind == "splice") {
-      splice_attrs.emplace_back(node_name(t, 1), arg_str(t, 2), arg_str(t, 3));
-    }
-  }
+    if (!pass.solved.sat) return;
+    const asp::Model& model = pass.solved.model;
+    result.stats = pass.solved.stats;
+    result.objectives = model.costs;
 
-  try {
-    out.finalize_concrete();
-  } catch (const SpecError& e) {
-    // A dependency cycle in the package definitions surfaces here (package
-    // graphs must be acyclic; Spack rejects them too).
-    throw UnsatisfiableError(std::string("invalid solution for ") +
-                             requests.front().root.str() + ": " + e.what());
-  }
+    auto arg_str = [](Term t, std::size_t i) {
+      return std::string(t.args()[i].name());
+    };
+    auto node_name = [&](Term t, std::size_t i) {
+      return std::string(t.args()[i].args()[0].name());
+    };
 
-  // Classify nodes: reused verbatim, spliced (reused + rewired), or built.
-  // A node is affected by splicing if it carries a splice attribute itself
-  // OR any link-run descendant does: replacing a grandchild changes every
-  // ancestor's runtime identity, and every reused ancestor is rewired from
-  // its original binary (transitive splices, paper §4.1).
-  std::set<std::string> spliced_parents;
-  for (const auto& [parent, replaced, replacement] : splice_attrs) {
-    spliced_parents.insert(parent);
-  }
-  std::vector<bool> affected(out.nodes().size(), false);
-  for (std::size_t i : out.topological_order()) {
-    const SpecNode& n = out.nodes()[i];
-    if (spliced_parents.count(n.name) > 0) affected[i] = true;
-    for (const spec::DepEdge& e : n.deps) {
-      if (e.type == DepType::Link && affected[e.child]) affected[i] = true;
+    // Gather node names: the first request's root leads (so single-root
+    // callers can use the combined spec directly), the rest in name order.
+    std::map<std::string, std::size_t> index_of;
+    Spec out;
+    const std::string& primary = requests.front().root.root().name;
+    std::set<std::string> names;
+    for (Term t : model.with_signature("attr/2")) {
+      if (t.args()[0].name() != "node") continue;
+      names.insert(node_name(t, 1));
     }
-  }
-  for (std::size_t i = 0; i < out.nodes().size(); ++i) {
-    SpecNode& n = out.nodes()[i];
-    auto it = hash_of.find(n.name);
-    if (it == hash_of.end()) {
-      result.build_names.push_back(n.name);
-      continue;
+    names.insert(primary);
+    {
+      SpecNode r;
+      r.name = primary;
+      index_of[primary] = out.add_node(std::move(r));
     }
-    const std::string& selected = it->second;
-    auto cached = reusable.find(selected);
-    if (cached == reusable.end()) {
-      throw Error("internal: model reuses unknown hash " + selected);
+    for (const std::string& name : names) {
+      if (name == primary) continue;
+      SpecNode n;
+      n.name = name;
+      index_of[name] = out.add_node(std::move(n));
     }
-    if (n.hash == selected) {
-      result.reused_hashes.push_back(selected);
-      continue;
-    }
-    if (!affected[i]) {
-      throw Error("internal: node " + n.name + " reuses " + selected +
-                  " but solution hash is " + n.hash +
-                  " and no splice explains the difference");
-    }
-    // A spliced (or transitively rewired) node: the binary comes from
-    // `selected`; build_spec records that original build.
-    n.build_spec = std::make_shared<Spec>(cached->second);
-  }
-  for (const auto& [parent, replaced, replacement] : splice_attrs) {
-    result.splices.push_back(SpliceDecision{
-        parent, hash_of.at(parent), replaced, replacement});
-  }
-  extract_span.end();
-  flight_extract.end();
 
-  span.attr("nodes", result.combined.nodes().size());
-  span.attr("builds", result.build_names.size());
-  span.attr("reused", result.reused_hashes.size());
-  span.attr("splices", result.splices.size());
-  {
+    std::map<std::string, std::string> hash_of;       // node -> reused hash
+    std::vector<std::tuple<std::string, std::string, std::string>> splice_attrs;
+
+    for (Term t : model.with_signature("attr/3")) {
+      std::string kind(t.args()[0].name());
+      if (kind == "version") {
+        out.nodes()[index_of.at(node_name(t, 1))].versions =
+            spec::VersionConstraint::exactly(
+                spec::Version::parse(arg_str(t, 2)));
+      } else if (kind == "node_os") {
+        out.nodes()[index_of.at(node_name(t, 1))].os = arg_str(t, 2);
+      } else if (kind == "node_target") {
+        out.nodes()[index_of.at(node_name(t, 1))].target = arg_str(t, 2);
+      } else if (kind == "hash") {
+        hash_of[node_name(t, 1)] = arg_str(t, 2);
+      }
+    }
+    for (Term t : model.with_signature("attr/4")) {
+      std::string kind(t.args()[0].name());
+      if (kind == "variant") {
+        out.nodes()[index_of.at(node_name(t, 1))].variants[arg_str(t, 2)] =
+            arg_str(t, 3);
+      } else if (kind == "depends_on") {
+        std::string type = arg_str(t, 3);
+        out.add_dep(index_of.at(node_name(t, 1)), index_of.at(node_name(t, 2)),
+                    type == "build" ? DepType::Build : DepType::Link);
+      } else if (kind == "splice") {
+        splice_attrs.emplace_back(node_name(t, 1), arg_str(t, 2),
+                                  arg_str(t, 3));
+      }
+    }
+
+    try {
+      out.finalize_concrete();
+    } catch (const SpecError& e) {
+      // A dependency cycle in the package definitions surfaces here (package
+      // graphs must be acyclic; Spack rejects them too).
+      throw UnsatisfiableError(std::string("invalid solution for ") +
+                               requests.front().root.str() + ": " + e.what());
+    }
+
+    // Classify nodes: reused verbatim, spliced (reused + rewired), or built.
+    // A node is affected by splicing if it carries a splice attribute itself
+    // OR any link-run descendant does: replacing a grandchild changes every
+    // ancestor's runtime identity, and every reused ancestor is rewired from
+    // its original binary (transitive splices, paper §4.1).
+    std::set<std::string> spliced_parents;
+    for (const auto& [parent, replaced, replacement] : splice_attrs) {
+      spliced_parents.insert(parent);
+    }
+    std::vector<bool> affected(out.nodes().size(), false);
+    for (std::size_t i : out.topological_order()) {
+      const SpecNode& n = out.nodes()[i];
+      if (spliced_parents.count(n.name) > 0) affected[i] = true;
+      for (const spec::DepEdge& e : n.deps) {
+        if (e.type == DepType::Link && affected[e.child]) affected[i] = true;
+      }
+    }
+    for (std::size_t i = 0; i < out.nodes().size(); ++i) {
+      SpecNode& n = out.nodes()[i];
+      auto it = hash_of.find(n.name);
+      if (it == hash_of.end()) {
+        result.build_names.push_back(n.name);
+        continue;
+      }
+      const std::string& selected = it->second;
+      auto cached = reusable_.find(selected);
+      if (cached == reusable_.end()) {
+        throw Error("internal: model reuses unknown hash " + selected);
+      }
+      if (n.hash == selected) {
+        result.reused_hashes.push_back(selected);
+        continue;
+      }
+      if (!affected[i]) {
+        throw Error("internal: node " + n.name + " reuses " + selected +
+                    " but solution hash is " + n.hash +
+                    " and no splice explains the difference");
+      }
+      // A spliced (or transitively rewired) node: the binary comes from
+      // `selected`; build_spec records that original build.
+      n.build_spec = std::make_shared<Spec>(cached->second);
+    }
+    for (const auto& [parent, replaced, replacement] : splice_attrs) {
+      result.splices.push_back(SpliceDecision{
+          parent, hash_of.at(parent), replaced, replacement});
+    }
+    for (const Request& r : requests) {
+      result.roots.push_back(out.subdag(index_of.at(r.root.root().name)));
+    }
+    pass.span->attr("nodes", out.nodes().size());
+    pass.span->attr("builds", result.build_names.size());
+    pass.span->attr("reused", result.reused_hashes.size());
+    pass.span->attr("splices", result.splices.size());
     flight::Recorder& rec = flight::Recorder::global();
     for (const SpliceDecision& s : result.splices) {
       rec.emit(flight::EventKind::SpliceVerdict, 0, 0,
                s.parent_name + "<-" + s.replacement_name,
                flight::Phase::Extract);
     }
-    rec.add_solution(flight_req.id(), result.build_names.size(),
+    rec.add_solution(rec.current_request(), result.build_names.size(),
                      result.reused_hashes.size(), result.splices.size());
-  }
-  if (!profile_note.empty()) {
-    flight_req.finish(flight::Outcome::Ok, profile_note);
-  }
+  });
   return result;
 }
 
 ConcretizeResult Concretizer::concretize(const Request& request) const {
-  SolvedDag solved = solve_requests(repo_, opts_, reusable_,
-                                    ensure_cache({request}), {request});
-  ConcretizeResult result;
-  result.spec = solved.combined.subdag(
-      solved.index_of.at(request.root.root().name));
-  result.reused_hashes = std::move(solved.reused_hashes);
-  result.build_names = std::move(solved.build_names);
-  result.splices = std::move(solved.splices);
-  result.objectives = std::move(solved.objectives);
-  result.stats = solved.stats;
-  return result;
-}
-
-EnvironmentResult Concretizer::concretize_together(
-    const std::vector<Request>& requests) const {
-  if (requests.empty()) throw Error("concretize_together: no requests");
-  SolvedDag solved =
-      solve_requests(repo_, opts_, reusable_, ensure_cache(requests), requests);
-  EnvironmentResult result;
-  result.roots.reserve(requests.size());
-  for (const Request& r : requests) {
-    result.roots.push_back(
-        solved.combined.subdag(solved.index_of.at(r.root.root().name)));
-  }
-  result.reused_hashes = std::move(solved.reused_hashes);
-  result.build_names = std::move(solved.build_names);
-  result.splices = std::move(solved.splices);
-  result.objectives = std::move(solved.objectives);
-  result.stats = solved.stats;
-  return result;
+  EnvironmentResult env = concretize_together({request});
+  return {.spec = std::move(env.roots.front()),
+          .reused_hashes = std::move(env.reused_hashes),
+          .build_names = std::move(env.build_names),
+          .splices = std::move(env.splices),
+          .objectives = std::move(env.objectives),
+          .stats = env.stats};
 }
 
 }  // namespace splice::concretize

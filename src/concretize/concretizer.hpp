@@ -24,6 +24,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -38,6 +39,7 @@
 #include "src/repo/repository.hpp"
 #include "src/spec/spec.hpp"
 #include "src/support/json.hpp"
+#include "src/support/trace.hpp"
 
 namespace splice::concretize {
 
@@ -229,6 +231,27 @@ class Concretizer {
   struct CompileCache;
 
  private:
+  struct PassOptions {
+    std::string_view name;   ///< request span name, category "concretize"
+    std::string_view label;  ///< flight request text before the roots
+    bool profile = false;    ///< profile ground + solve, fold onto directives
+    bool keep_ground = false;  ///< ground with provenance, keep for the step
+    bool throw_unsat = false;  ///< UnsatisfiableError after the step
+  };
+  /// What a pass hands its extraction step.
+  struct Pass {
+    trace::Span* span = nullptr;  ///< the request span
+    asp::Program program;         ///< kept when profiling or keep_ground
+    asp::GroundProgram ground;    ///< kept when keep_ground
+    asp::SolveResult solved;
+    asp::Profile profile;         ///< directive costs when profiling
+  };
+  /// The one instrumented request path: the request span and flight
+  /// account, then compile, ground, solve and `step` (the extraction), each
+  /// in one flight::PhaseScope.  The request ends where the last phase ends.
+  void run_pass(const std::vector<Request>& requests, const PassOptions& opts,
+                const std::function<void(Pass&)>& step) const;
+
   /// The compile cache serving this request set: the full cache when
   /// pruning is off (or nothing would be pruned), otherwise the slice cache
   /// keyed by the pruned-slice fingerprint — requests with the same closure

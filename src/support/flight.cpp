@@ -125,20 +125,23 @@ json::Value RequestAccount::to_json() const {
 
 namespace {
 
-void warn_env(const char* var, const char* value) {
+void warn_env(const char* var, const char* value,
+              const char* expected = "a number") {
   std::fprintf(stderr,
                "splice: warning: ignoring malformed %s=\"%s\" "
-               "(expected a number)\n",
-               var, value == nullptr ? "" : value);
+               "(expected %s)\n",
+               var, value == nullptr ? "" : value, expected);
 }
 
 }  // namespace
 
 std::uint64_t env_u64(const char* var, const char* value,
-                      std::uint64_t fallback) {
+                      std::uint64_t fallback, std::uint64_t max) {
   if (value == nullptr) return fallback;
-  if (std::optional<std::uint64_t> n = parse_count(value)) return *n;
-  warn_env(var, value);
+  std::optional<std::uint64_t> n = parse_count(value);
+  if (n && *n <= max) return *n;
+  warn_env(var, value,
+           n ? ("at most " + std::to_string(max)).c_str() : "a number");
   return fallback;
 }
 
@@ -162,7 +165,7 @@ thread_local Current t_current;
 
 std::size_t round_pow2(std::size_t n) {
   std::size_t cap = 1;
-  while (cap < n && cap < (std::size_t{1} << 28)) cap <<= 1;
+  while (cap < n && cap < kMaxCapacity) cap <<= 1;
   return cap;
 }
 
@@ -204,7 +207,8 @@ Recorder& Recorder::global() {
     opts.enabled = parse_switch(std::getenv("SPLICE_FLIGHT"), opts.enabled);
     opts.capacity = static_cast<std::size_t>(
         env_u64("SPLICE_FLIGHT_CAPACITY",
-                std::getenv("SPLICE_FLIGHT_CAPACITY"), opts.capacity));
+                std::getenv("SPLICE_FLIGHT_CAPACITY"), opts.capacity,
+                kMaxCapacity));
     opts.slow_ms = env_double("SPLICE_FLIGHT_SLOW_MS",
                               std::getenv("SPLICE_FLIGHT_SLOW_MS"), 0);
     opts.slow_conflicts =
@@ -252,9 +256,11 @@ void Recorder::push_locked(Event ev) {
 }
 
 void Recorder::do_emit(EventKind kind, std::int64_t a, std::int64_t b,
-                       std::string_view detail, Phase phase) {
+                       std::string_view detail, Phase phase,
+                       std::chrono::steady_clock::time_point at) {
   Event ev;
-  ev.t_us = static_cast<std::uint64_t>(now_us());
+  ev.t_us = static_cast<std::uint64_t>(
+      std::chrono::duration<double, std::micro>(at - epoch_).count());
   ev.a = a;
   ev.b = b;
   ev.kind = kind;
@@ -321,7 +327,6 @@ void Recorder::end_request(std::uint32_t id, Outcome outcome,
   double slow_ms = 0;
   std::uint64_t slow_conflicts = 0;
   bool dump_abnormal = false;
-  bool export_metrics = false;
   {
     std::lock_guard<std::mutex> lock(mu_);
     RequestAccount* acc = find_locked(id);
@@ -336,7 +341,6 @@ void Recorder::end_request(std::uint32_t id, Outcome outcome,
         (slow_conflicts > 0 && acc->rollup.conflicts >= slow_conflicts);
     dump_abnormal = opts_.dump_abnormal &&
                     (outcome == Outcome::Error || outcome == Outcome::Budget);
-    export_metrics = opts_.export_metrics;
     snapshot = *acc;
     Event ev;
     ev.t_us = static_cast<std::uint64_t>(t);
@@ -350,21 +354,19 @@ void Recorder::end_request(std::uint32_t id, Outcome outcome,
     std::memcpy(ev.detail, name.data(), n);
     push_locked(ev);
   }
-  if (export_metrics) {
-    auto& m = trace::Tracer::global().metrics();
-    m.add("flight.requests");
-    m.add("flight.requests." + std::string(outcome_name(outcome)));
-    if (snapshot.slow) m.add("flight.slow_requests");
-    m.observe("flight.request/seconds", snapshot.seconds());
-    m.observe("flight.request/conflicts",
-              static_cast<double>(snapshot.rollup.conflicts));
-    for (std::size_t i = 0; i < kNumPhases; ++i) {
-      if (snapshot.phase_seconds[i] > 0) {
-        m.observe("flight.phase/" +
-                      std::string(phase_name(static_cast<Phase>(i))) +
-                      ".seconds",
-                  snapshot.phase_seconds[i]);
-      }
+  auto& m = trace::Tracer::global().metrics();
+  m.add("flight.requests");
+  m.add("flight.requests." + std::string(outcome_name(outcome)));
+  if (snapshot.slow) m.add("flight.slow_requests");
+  m.observe("flight.request/seconds", snapshot.seconds());
+  m.observe("flight.request/conflicts",
+            static_cast<double>(snapshot.rollup.conflicts));
+  for (std::size_t i = 0; i < kNumPhases; ++i) {
+    if (snapshot.phase_seconds[i] > 0) {
+      m.observe("flight.phase/" +
+                    std::string(phase_name(static_cast<Phase>(i))) +
+                    ".seconds",
+                snapshot.phase_seconds[i]);
     }
   }
   if (snapshot.slow || dump_abnormal) {
@@ -725,22 +727,23 @@ void RequestScope::finish(Outcome outcome, std::string_view note) {
   rec_->end_request(id_, outcome, note);
 }
 
-PhaseScope::PhaseScope(Phase phase, Recorder& recorder)
-    : start_(std::chrono::steady_clock::now()) {
+PhaseScope::PhaseScope(Phase phase, std::string_view name,
+                       std::string_view category, Recorder& recorder,
+                       trace::Tracer& tracer)
+    : span_(name, category, tracer), phase_(phase) {
   if (!recorder.enabled()) return;
   rec_ = &recorder;
-  phase_ = phase;
-  rec_->emit(EventKind::PhaseBegin, 0, 0, {}, phase);
+  rec_->do_emit(EventKind::PhaseBegin, 0, 0, {}, phase, span_.start_time());
 }
 
-void PhaseScope::end() {
-  if (rec_ == nullptr) return;
-  double seconds = std::chrono::duration<double>(
-                       std::chrono::steady_clock::now() - start_)
-                       .count();
-  rec_->emit(EventKind::PhaseEnd, 0, 0, {}, phase_);
-  rec_->add_phase_seconds(rec_->current_request(), phase_, seconds);
-  rec_ = nullptr;
+double PhaseScope::end() {
+  double seconds = span_.end();
+  if (rec_ != nullptr) {
+    rec_->do_emit(EventKind::PhaseEnd, 0, 0, {}, phase_, span_.end_time());
+    rec_->add_phase_seconds(rec_->current_request(), phase_, seconds);
+    rec_ = nullptr;
+  }
+  return seconds;
 }
 
 }  // namespace splice::flight

@@ -30,7 +30,7 @@
 //
 // Environment hooks (any binary linking splice_support):
 //   SPLICE_FLIGHT=off|0|false        disable recording at startup
-//   SPLICE_FLIGHT_CAPACITY=<n>       ring capacity in events (default 16384)
+//   SPLICE_FLIGHT_CAPACITY=<n>       ring capacity (default 16384, max 2^20)
 //   SPLICE_FLIGHT_SLOW_MS=<n>        slow-request latency threshold
 //   SPLICE_FLIGHT_SLOW_CONFLICTS=<n> slow-request conflict threshold
 //   SPLICE_FLIGHT_DIR=<dir>          where automatic dumps are written
@@ -38,8 +38,8 @@
 //   SPLICE_FLIGHT_CRASH=<file>       dump on SIGSEGV/SIGBUS/SIGABRT/...
 //   SPLICE_FLIGHT_WATCHDOG_MS=<n>    dump requests still active after n ms
 // Numbers parse strictly (splice::parse_count / parse_non_negative).
-// Malformed values warn once on stderr and fall back to the default; they
-// are never silently dropped.
+// Malformed or out-of-range values warn once on stderr and fall back to the
+// default; they are never silently dropped.
 #pragma once
 
 #include <array>
@@ -57,6 +57,7 @@
 #include <vector>
 
 #include "src/support/json.hpp"
+#include "src/support/trace.hpp"
 
 namespace splice::flight {
 
@@ -164,8 +165,11 @@ struct RequestAccount {
   json::Value to_json() const;
 };
 
+/// The ring's ceiling: 2^20 64-byte events (64 MiB).
+inline constexpr std::size_t kMaxCapacity = std::size_t{1} << 20;
+
 struct RecorderOptions {
-  /// Ring capacity in events; rounded up to a power of two.
+  /// Ring capacity in events; a power of two, at most kMaxCapacity.
   std::size_t capacity = 16384;
   /// Finished request accounts retained (oldest dropped first).
   std::size_t max_requests = 256;
@@ -177,9 +181,6 @@ struct RecorderOptions {
   std::string dump_dir = ".";
   /// Also auto-dump requests ending in Error/Budget outcomes.
   bool dump_abnormal = false;
-  /// Roll finished requests into Tracer::global().metrics() (request
-  /// latency/conflict histograms, outcome counters) for metrics_text().
-  bool export_metrics = true;
   bool enabled = true;
 };
 
@@ -213,8 +214,8 @@ class Recorder {
 
   /// Open a request account; returns its stable id (0 when disabled).
   std::uint32_t begin_request(std::string_view text);
-  /// Close a request: records the outcome, applies the slow-request policy
-  /// (threshold check, metrics rollup, automatic dump).
+  /// Close a request: records the outcome, rolls it into the global metrics
+  /// and applies the slow-request policy (threshold check, automatic dump).
   void end_request(std::uint32_t id, Outcome outcome,
                    std::string_view note = {});
   void add_rollup(std::uint32_t id, const Rollup& r);
@@ -268,9 +269,12 @@ class Recorder {
 
  private:
   friend class RequestScope;
+  friend class PhaseScope;
 
   void do_emit(EventKind kind, std::int64_t a, std::int64_t b,
-               std::string_view detail, Phase phase);
+               std::string_view detail, Phase phase,
+               std::chrono::steady_clock::time_point at =
+                   std::chrono::steady_clock::now());
   void push_locked(Event ev);
   std::vector<Event> events_locked() const;
   RequestAccount* find_locked(std::uint32_t id);
@@ -316,30 +320,39 @@ class RequestScope {
   bool finished_ = false;
 };
 
-/// RAII phase marker: emits PhaseBegin/PhaseEnd events and accumulates the
-/// wall-clock duration into the current request's account.
+/// RAII phase scope, the one timer of a pipeline phase: the trace span
+/// `name`/`category`, PhaseBegin/PhaseEnd events and the current request's
+/// phase seconds all take the same two clock reads.  Either sink may be off.
 class PhaseScope {
  public:
-  explicit PhaseScope(Phase phase, Recorder& recorder = Recorder::global());
+  PhaseScope(Phase phase, std::string_view name, std::string_view category,
+             Recorder& recorder = Recorder::global(),
+             trace::Tracer& tracer = trace::Tracer::global());
   ~PhaseScope() { end(); }
 
   PhaseScope(const PhaseScope&) = delete;
   PhaseScope& operator=(const PhaseScope&) = delete;
 
-  void end();
+  void attr(std::string_view key, json::Value value) {
+    span_.attr(key, std::move(value));
+  }
+
+  /// End the phase and return its duration in seconds.  Idempotent.
+  double end();
 
  private:
+  trace::Span span_;
   Recorder* rec_ = nullptr;  ///< null when recording is off
   Phase phase_ = Phase::None;
-  std::chrono::steady_clock::time_point start_;
 };
 
 /// Parse a numeric SPLICE_FLIGHT_* environment value.  A set-but-malformed
-/// value (empty, signed, non-numeric, trailing junk) emits one stderr
-/// warning naming the variable and the bad value, then returns `fallback`;
-/// unset (nullptr) returns `fallback` silently.
+/// value (empty, signed, non-numeric, trailing junk) or one above `max`
+/// emits one stderr warning naming the variable and the bad value, then
+/// returns `fallback`; unset (nullptr) returns `fallback` silently.
 std::uint64_t env_u64(const char* var, const char* value,
-                      std::uint64_t fallback);
+                      std::uint64_t fallback,
+                      std::uint64_t max = UINT64_MAX);
 double env_double(const char* var, const char* value, double fallback);
 
 /// Derive the nested span tree for one request from its PhaseBegin/PhaseEnd

@@ -22,6 +22,9 @@
 
 namespace splice {
 
+/// The ceiling on a --jobs flag: more workers than this is a usage error.
+inline constexpr std::size_t kMaxJobs = 1024;
+
 /// Number of workers that would actually be used for `n` tasks at the
 /// requested job count (clamped to [1, n]); jobs == 0 auto-detects one
 /// worker per hardware thread.

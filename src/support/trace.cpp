@@ -441,8 +441,8 @@ void Tracer::clear() {
 // ---- Span ------------------------------------------------------------------
 
 Span::Span(std::string_view name, std::string_view category, Tracer& tracer)
-    : start_(std::chrono::steady_clock::now()) {
-  if (!tracer.enabled()) return;  // seconds() still works off start_
+    : start_(Clock::now()) {
+  if (!tracer.enabled()) return;  // end() still times off start_
   tracer_ = &tracer;
   ev_.name = std::string(name);
   ev_.category = std::string(category);
@@ -452,28 +452,26 @@ Span::Span(std::string_view name, std::string_view category, Tracer& tracer)
   ev_.depth = t_depth++;
 }
 
-Span::~Span() { end(); }
+// A disabled span that nobody ends keeps its one clock read.
+Span::~Span() { if (tracer_ != nullptr) end(); }
 
 void Span::attr(std::string_view key, json::Value value) {
   if (tracer_ == nullptr) return;
   ev_.args.emplace_back(std::string(key), std::move(value));
 }
 
-double Span::seconds() const {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start_)
-      .count();
-}
-
-void Span::end() {
-  if (tracer_ == nullptr) return;
-  ev_.dur_us =
-      std::chrono::duration<double, std::micro>(
-          std::chrono::steady_clock::now() - start_)
-          .count();
-  --t_depth;
-  tracer_->record(std::move(ev_));
-  tracer_ = nullptr;
+double Span::end() {
+  if (end_ == Clock::time_point{}) {
+    end_ = Clock::now();
+    if (tracer_ != nullptr) {
+      ev_.dur_us =
+          std::chrono::duration<double, std::micro>(end_ - start_).count();
+      --t_depth;
+      tracer_->record(std::move(ev_));
+      tracer_ = nullptr;
+    }
+  }
+  return std::chrono::duration<double>(end_ - start_).count();
 }
 
 }  // namespace splice::trace

@@ -151,11 +151,12 @@ class Tracer {
 
 /// RAII timed interval.  Constructed against the global tracer by default;
 /// records a Complete event at destruction (or explicit end()).  When the
-/// tracer is disabled at construction the span only captures a start time
-/// (so seconds() still works for callers that time with spans) and records
-/// nothing.
+/// tracer is disabled at construction the span records nothing but still
+/// times, so callers take their durations from the span they already have.
 class Span {
  public:
+  using Clock = std::chrono::steady_clock;
+
   explicit Span(std::string_view name, std::string_view category = "",
                 Tracer& tracer = Tracer::global());
   ~Span();
@@ -166,16 +167,18 @@ class Span {
   /// Attach a key/value attribute (no-op when recording is off).
   void attr(std::string_view key, json::Value value);
 
-  /// Wall-clock seconds elapsed since construction; valid any time,
-  /// enabled or not.
-  double seconds() const;
+  /// End the span now instead of at scope exit and return its duration in
+  /// seconds.  Reads the clock once; idempotent (later calls return the
+  /// same duration).
+  double end();
 
-  /// End the span now instead of at scope exit.  Idempotent.
-  void end();
+  Clock::time_point start_time() const { return start_; }
+  Clock::time_point end_time() const { return end_; }  ///< after end()
 
  private:
   Tracer* tracer_ = nullptr;  ///< null when recording is off
-  std::chrono::steady_clock::time_point start_;
+  Clock::time_point start_;
+  Clock::time_point end_{};   ///< epoch (zero) while the span is open
   TraceEvent ev_;             ///< name/category/args staging (when recording)
 };
 

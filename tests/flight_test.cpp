@@ -5,6 +5,7 @@
 // guarantee that accounted phase durations cover the request span.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -37,7 +38,6 @@ using flight::RequestScope;
 RecorderOptions small_opts(std::size_t capacity) {
   RecorderOptions opts;
   opts.capacity = capacity;
-  opts.export_metrics = false;  // keep the global metrics registry clean
   return opts;
 }
 
@@ -110,7 +110,7 @@ TEST(FlightRecorderTest, DisabledRecorderRecordsNothing) {
   {
     RequestScope scope("also invisible", rec);
     EXPECT_EQ(scope.id(), 0u);
-    PhaseScope phase(Phase::Solve, rec);
+    PhaseScope phase(Phase::Solve, "solve", "test", rec);
   }
   EXPECT_EQ(rec.total_events(), 0u);
   EXPECT_TRUE(rec.requests().empty());
@@ -125,7 +125,7 @@ TEST(FlightRecorderTest, RequestAccountingAndThreadBinding) {
     ASSERT_NE(id, 0u);
     EXPECT_EQ(rec.current_request(), id);
     {
-      PhaseScope ground(Phase::Ground, rec);
+      PhaseScope ground(Phase::Ground, "ground", "test", rec);
       rec.emit(EventKind::GroundDone, 100, 50, {}, Phase::Ground);
     }
     flight::Rollup roll;
@@ -244,7 +244,7 @@ TEST(FlightRecorderTest, ConcurrentWritersAreRaceFreeAndLoseNothing) {
     threads.emplace_back([&rec, t] {
       RequestScope scope("writer " + std::to_string(t), rec);
       for (int i = 0; i < kEventsPerThread; ++i) {
-        PhaseScope phase(Phase::Solve, rec);
+        PhaseScope phase(Phase::Solve, "solve", "test", rec);
         rec.emit(EventKind::SatConflicts, i, t, "tick", Phase::Solve);
       }
     });
@@ -282,7 +282,7 @@ TEST(FlightDumpTest, SlowRequestAutoDumpMatchesGoldenShape) {
   {
     RequestScope scope("laghos ^mpiabi", rec);
     id = scope.id();
-    PhaseScope solve(Phase::Solve, rec);
+    PhaseScope solve(Phase::Solve, "solve", "test", rec);
     rec.emit(EventKind::SatRestart, 42, 0, {}, Phase::Solve);
   }
   ASSERT_TRUE(rec.request(id).has_value());
@@ -332,8 +332,8 @@ TEST(FlightDumpTest, SpanTreeNestsPhasesPerThread) {
   {
     RequestScope scope("nested phases", rec);
     id = scope.id();
-    PhaseScope ground(Phase::Ground, rec);
-    { PhaseScope solve(Phase::Solve, rec); }
+    PhaseScope ground(Phase::Ground, "ground", "test", rec);
+    { PhaseScope solve(Phase::Solve, "solve", "test", rec); }
   }
   json::Value doc = rec.dump_request_json(id, "manual");
   const json::Value* spans = doc.find("requests")->as_array()[0].find("spans");
@@ -347,6 +347,75 @@ TEST(FlightDumpTest, SpanTreeNestsPhasesPerThread) {
   EXPECT_EQ(children->as_array()[0].find("name")->as_string(), "solve");
   EXPECT_GE(root.find("dur_us")->as_double(),
             children->as_array()[0].find("dur_us")->as_double());
+}
+
+/// One phase scope, one clock: the trace span, the PhaseBegin/PhaseEnd
+/// events and the account's phase seconds all carry the same interval.
+TEST(FlightPhaseScopeTest, OneTimerFeedsSpanAndAccount) {
+  trace::Tracer tracer;
+  tracer.set_enabled(true);
+  Recorder rec(small_opts(64));
+  std::uint32_t id = 0;
+  double seconds = 0;
+  {
+    RequestScope scope("one timer", rec);
+    id = scope.id();
+    PhaseScope phase(Phase::Ground, "ground", "test", rec, tracer);
+    phase.attr("rules", 7);
+    seconds = phase.end();
+    EXPECT_EQ(phase.end(), seconds);  // idempotent
+  }
+  std::vector<trace::TraceEvent> spans = tracer.events();
+  ASSERT_EQ(spans.size(), 1u);
+  EXPECT_EQ(spans[0].name, "ground");
+  EXPECT_EQ(spans[0].category, "test");
+  ASSERT_EQ(spans[0].args.size(), 1u);
+  EXPECT_DOUBLE_EQ(spans[0].dur_us * 1e-6, seconds);
+  ASSERT_TRUE(rec.request(id).has_value());
+  EXPECT_EQ(rec.request(id)->phase_seconds[static_cast<std::size_t>(
+                Phase::Ground)],
+            seconds);
+  std::vector<Event> events = rec.events();
+  ASSERT_EQ(events.size(), 4u);  // request begin, phase begin/end, request end
+  EXPECT_EQ(events[1].kind, EventKind::PhaseBegin);
+  EXPECT_EQ(events[2].kind, EventKind::PhaseEnd);
+  EXPECT_NEAR(static_cast<double>(events[2].t_us - events[1].t_us),
+              seconds * 1e6, 1.0);
+}
+
+TEST(FlightPhaseScopeTest, EachSinkRecordsWithoutTheOther) {
+  {
+    trace::Tracer tracer;  // disabled
+    Recorder rec(small_opts(64));
+    RequestScope scope("flight only", rec);
+    PhaseScope phase(Phase::Solve, "solve", "test", rec, tracer);
+    double seconds = phase.end();
+    EXPECT_TRUE(tracer.events().empty());
+    EXPECT_EQ(rec.request(scope.id())
+                  ->phase_seconds[static_cast<std::size_t>(Phase::Solve)],
+              seconds);
+  }
+  {
+    trace::Tracer tracer;
+    tracer.set_enabled(true);
+    Recorder rec(small_opts(64));
+    rec.set_enabled(false);
+    PhaseScope phase(Phase::Solve, "solve", "test", rec, tracer);
+    double seconds = phase.end();
+    ASSERT_EQ(tracer.events().size(), 1u);
+    EXPECT_DOUBLE_EQ(tracer.events()[0].dur_us * 1e-6, seconds);
+    EXPECT_EQ(rec.total_events(), 0u);
+  }
+  {
+    trace::Tracer tracer;
+    Recorder rec(small_opts(64));
+    rec.set_enabled(false);
+    PhaseScope phase(Phase::Solve, "solve", "test", rec, tracer);
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    EXPECT_GE(phase.end(), 0.002);  // both sinks off: still a timer
+    EXPECT_TRUE(tracer.events().empty());
+    EXPECT_EQ(rec.total_events(), 0u);
+  }
 }
 
 TEST(FlightDumpTest, SpanTreeToleratesWraparoundOrphans) {
@@ -386,7 +455,6 @@ TEST(FlightEnvTest, MalformedValuesWarnOnceAndFallBack) {
 }
 
 TEST(FlightEnvTest, SignedAndOutOfRangeValuesFallBack) {
-  // A wrapped "-1" would size the ring at its 2^28-slot (16 GiB) clamp.
   // These calls only parse the value; nothing is allocated.
   testing::internal::CaptureStderr();
   EXPECT_EQ(flight::env_u64("SPLICE_FLIGHT_CAPACITY", "-1", 5u), 5u);
@@ -399,6 +467,28 @@ TEST(FlightEnvTest, SignedAndOutOfRangeValuesFallBack) {
   std::string err = testing::internal::GetCapturedStderr();
   EXPECT_NE(err.find("SPLICE_FLIGHT_CAPACITY=\"-1\""), std::string::npos);
   EXPECT_NE(err.find("SPLICE_FLIGHT_SLOW_MS=\"inf\""), std::string::npos);
+}
+
+TEST(FlightEnvTest, CapacityAboveCeilingFallsBack) {
+  // Parsing only: the ceiling is checked before anything is allocated.
+  const std::string ceiling = std::to_string(flight::kMaxCapacity);
+  const std::string above = std::to_string(flight::kMaxCapacity + 1);
+  testing::internal::CaptureStderr();
+  EXPECT_EQ(flight::env_u64("SPLICE_FLIGHT_CAPACITY", ceiling.c_str(), 5u,
+                            flight::kMaxCapacity),
+            flight::kMaxCapacity);
+  EXPECT_TRUE(testing::internal::GetCapturedStderr().empty());
+  testing::internal::CaptureStderr();
+  EXPECT_EQ(flight::env_u64("SPLICE_FLIGHT_CAPACITY", above.c_str(), 5u,
+                            flight::kMaxCapacity),
+            5u);
+  EXPECT_EQ(flight::env_u64("SPLICE_FLIGHT_CAPACITY", "1000000000", 5u,
+                            flight::kMaxCapacity),
+            5u);
+  std::string err = testing::internal::GetCapturedStderr();
+  EXPECT_NE(err.find("SPLICE_FLIGHT_CAPACITY=\"" + above + "\""),
+            std::string::npos);
+  EXPECT_NE(err.find("at most " + ceiling), std::string::npos);
 }
 
 TEST(FlightEnvTest, ValidAndUnsetValuesParseSilently) {
@@ -417,9 +507,7 @@ TEST(FlightEnvTest, ValidAndUnsetValuesParseSilently) {
 TEST(FlightPipelineTest, RadiussConcretizationRoundTrips) {
   Recorder& rec = Recorder::global();
   RecorderOptions saved = rec.options();
-  RecorderOptions opts;
-  opts.export_metrics = false;
-  rec.configure(opts);
+  rec.configure(RecorderOptions{});
 
   repo::Repository repo = workload::radiuss_repo();
   std::vector<spec::Spec> cache = workload::local_cache_specs(repo);
@@ -478,6 +566,43 @@ TEST(FlightPipelineTest, RadiussConcretizationRoundTrips) {
   EXPECT_TRUE(saw_splice_verdict);
 
   rec.configure(saved);  // restore whatever the environment set up
+  trace::Tracer::global().metrics().clear();
+}
+
+/// profile() and explain_splice() run the same instrumented pass as
+/// concretize(): one account each, with compile/ground/solve phases that
+/// the request span covers.
+TEST(FlightPipelineTest, ProfileAndExplainAccountTheirPhases) {
+  Recorder& rec = Recorder::global();
+  RecorderOptions saved = rec.options();
+  rec.configure(RecorderOptions{});
+
+  repo::Repository repo = workload::radiuss_repo();
+  concretize::ConcretizerOptions copts;
+  copts.enable_splicing = true;
+  concretize::Concretizer c(repo, copts);
+  c.add_reusable_all(workload::local_cache_specs(repo));
+  std::vector<concretize::Request> requests{
+      concretize::Request("visit ^mpiabi")};
+  EXPECT_TRUE(c.profile(requests).sat);
+  EXPECT_TRUE(c.explain_splice(requests).sat);
+
+  std::vector<RequestAccount> accounts = rec.requests();
+  ASSERT_EQ(accounts.size(), 2u);
+  EXPECT_EQ(accounts[0].text, "profile: visit ^mpiabi");
+  EXPECT_EQ(accounts[1].text, "explain splice: visit ^mpiabi");
+  for (const RequestAccount& acc : accounts) {
+    EXPECT_EQ(acc.outcome, Outcome::Ok) << acc.text;
+    for (Phase p : {Phase::Compile, Phase::Ground, Phase::Solve}) {
+      EXPECT_GT(acc.phase_seconds[static_cast<std::size_t>(p)], 0.0)
+          << acc.text << " " << flight::phase_name(p);
+    }
+    EXPECT_LE(acc.phase_sum_seconds(), acc.seconds()) << acc.text;
+    EXPECT_GT(acc.rollup.ground_atoms, 0u) << acc.text;
+  }
+
+  rec.configure(saved);
+  trace::Tracer::global().metrics().clear();
 }
 
 }  // namespace

@@ -56,8 +56,7 @@ TEST(SpanTest, DisabledTracerRecordsNothingButStillTimes) {
   Tracer tracer;  // disabled by default
   Span span("invisible", "test", tracer);
   span.attr("ignored", 1);
-  EXPECT_GE(span.seconds(), 0.0);
-  span.end();
+  EXPECT_GE(span.end(), 0.0);
   EXPECT_TRUE(tracer.events().empty());
 }
 

@@ -157,8 +157,7 @@ int main(int argc, char** argv) {
   splice::trace::Span analyze_span("analyze", "lint");
   const splice::asp::AnalysisReport result =
       splice::asp::analyze(program, opts);
-  double analyze_seconds = analyze_span.seconds();
-  analyze_span.end();
+  double analyze_seconds = analyze_span.end();
 
   for (const auto& d : result.diagnostics) std::cout << d.str() << "\n";
   if (report) {

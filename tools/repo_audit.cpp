@@ -27,6 +27,7 @@
 #include "src/binary/buildcache.hpp"
 #include "src/support/error.hpp"
 #include "src/support/flight.hpp"
+#include "src/support/parallel.hpp"
 #include "src/support/strings.hpp"
 #include "src/support/trace.hpp"
 #include "src/workload/radiuss.hpp"
@@ -49,7 +50,8 @@ options:
   --no-encoding    skip the concretizer encoding cross-check
   --same-package   also report same-package version-splice suggestions
   --jobs N         run per-package checks on N worker threads (0 = one per
-                   hardware thread; findings are byte-identical for any N)
+                   hardware thread, at most 1024; findings are
+                   byte-identical for any N)
   --incremental    load/save the audit cache (default dir .splice-audit-cache)
   --cache-dir DIR  where the repo-audit-cache-v1 file lives (implies
                    --incremental); unchanged packages replay from the cache
@@ -107,6 +109,10 @@ int main(int argc, char** argv) {
       return static_cast<std::size_t>(
           number(flag, splice::parse_count, "a non-negative integer"));
     };
+    auto jobs = [](std::string_view text) {
+      std::optional<std::uint64_t> n = splice::parse_count(text);
+      return n && *n <= splice::kMaxJobs ? n : std::nullopt;
+    };
     if (arg == "-h" || arg == "--help") {
       std::cout << kUsage;
       return 0;
@@ -123,7 +129,8 @@ int main(int argc, char** argv) {
     } else if (arg == "--same-package") {
       opts.suggest_same_package = true;
     } else if (arg == "--jobs") {
-      opts.jobs = count("--jobs");
+      opts.jobs = static_cast<std::size_t>(
+          number("--jobs", jobs, "a non-negative integer up to 1024"));
     } else if (arg == "--incremental") {
       incremental = true;
     } else if (arg == "--cache-dir") {

@@ -36,6 +36,7 @@
 #include "src/support/error.hpp"
 #include "src/support/flight.hpp"
 #include "src/support/json.hpp"
+#include "src/support/parallel.hpp"
 #include "src/support/strings.hpp"
 #include "src/support/trace.hpp"
 #include "src/workload/caches.hpp"
@@ -57,7 +58,7 @@ void usage(std::FILE* out) {
       "      on a worker pool.  A request is a root spec plus optional\n"
       "      !package forbidden markers, e.g. \"visit ^mpiabi !mpich\".\n"
       "      --jobs N            worker threads (default 1; 0 = one per\n"
-      "                          hardware thread)\n"
+      "                          hardware thread; at most 1024)\n"
       "      --no-prune          compile every reusable entry (no\n"
       "                          reachability pruning)\n"
       "      --file FILE         read requests from FILE too (one per line;\n"
@@ -69,7 +70,7 @@ void usage(std::FILE* out) {
       "      --slow-ms N         slow-request latency threshold (auto-dump)\n"
       "      --slow-conflicts N  slow-request conflict threshold (auto-dump)\n"
       "      --dir DIR           directory for automatic dumps (default .)\n"
-      "      --capacity N        flight ring capacity in events\n"
+      "      --capacity N        flight ring capacity, at most 2^20 events\n"
       "      --metrics FILE      Prometheus metrics exposition\n"
       "      default requests: every RADIUSS root (with ^mpiabi under\n"
       "      --splice for the MPI-dependent ones)\n"
@@ -133,12 +134,14 @@ class Args {
     if (pos_ >= args_.size()) fail(arg_ + " needs a value");
     return args_[pos_++];
   }
-  /// A non-negative decimal integer value.
-  std::size_t count() {
+  /// A non-negative decimal integer value, at most `max`.
+  std::size_t count(std::uint64_t max = UINT64_MAX) {
     const std::string& text = value();
     std::optional<std::uint64_t> n = parse_count(text);
-    if (!n) {
-      fail(arg_ + ": expected a non-negative integer, got \"" + text + "\"");
+    if (!n || *n > max) {
+      fail(arg_ + ": expected " +
+           (n ? "at most " + std::to_string(max) : "a non-negative integer") +
+           ", got \"" + text + "\"");
     }
     return static_cast<std::size_t>(*n);
   }
@@ -236,8 +239,7 @@ std::unique_ptr<Workload> load_workload(const Args& a, const WorkloadFlags& w,
   out->concretizer.add_reusable_all(cache);
   std::size_t nodes = workload::distinct_nodes(cache);
   setup.attr("cache_specs", nodes);
-  double seconds = setup.seconds();
-  setup.end();
+  double seconds = setup.end();
 
   std::printf("splice %s: %zu request(s), encoding=%s, splicing=%s, "
               "pruning=%s, cache=%zu node specs, setup %.3fs\n",
@@ -303,7 +305,7 @@ int cmd_run(Args a) {
   while (a.next()) {
     if (workload_flag(a, w)) continue;
     if (a.is("--jobs")) {
-      jobs = a.count();
+      jobs = a.count(kMaxJobs);
     } else if (a.is("--no-prune")) {
       w.no_prune = true;
     } else if (a.is("--file")) {
@@ -328,7 +330,7 @@ int cmd_run(Args a) {
       ropts.dump_dir = a.value();
       configure_recorder = true;
     } else if (a.is("--capacity")) {
-      ropts.capacity = a.count();
+      ropts.capacity = a.count(flight::kMaxCapacity);
       configure_recorder = true;
     } else {
       texts.push_back(a.positional());
@@ -496,7 +498,6 @@ int cmd_explain(Args a) {
     ropts.slow_ms = slow_ms;
     flight::Recorder::global().configure(ropts);
   }
-  std::string roots_text = splice::join(roots, "; ");
 
   std::unique_ptr<Workload> wl = load_workload(a, w, roots.size());
   std::printf("\n");
@@ -510,14 +511,11 @@ int cmd_explain(Args a) {
 
   // A solvable request set gets the splice report (when splicing is on);
   // an unsolvable one gets the unsat core.  explain_splice doubles as the
-  // satisfiability probe so the two paths share one solve.
-  // Each explain probe runs under its own flight request so a slow probe
-  // is attributable after the fact (--flight / --slow-ms).
+  // satisfiability probe so the two paths share one solve.  Each probe is
+  // its own flight request (--flight / --slow-ms).
   Value doc;
   bool need_unsat_probe = !w.splice;
   if (w.splice) {
-    flight::RequestScope probe("explain splice: " + roots_text);
-    flight::PhaseScope phase(flight::Phase::Explain);
     concretize::SpliceDiagnosis splice_diag =
         wl->concretizer.explain_splice(requests);
     if (splice_diag.sat) {
@@ -528,8 +526,6 @@ int cmd_explain(Args a) {
     }
   }
   if (need_unsat_probe) {
-    flight::RequestScope probe("explain unsat: " + roots_text);
-    flight::PhaseScope phase(flight::Phase::Explain);
     asp::ExplainOptions eopts;
     eopts.minimize = minimize;
     concretize::UnsatDiagnosis unsat_diag =
