@@ -19,6 +19,16 @@
 // set, so the optimized and reference paths (see GroundOptions) produce
 // identical ground programs.
 //
+// Grounding is split in two (DESIGN.md §4.1): `ground_base` runs the
+// fixpoint over a request-independent base program once and freezes it into
+// an immutable GroundBase; `ground_request` restores that snapshot, seeds a
+// request program's facts as the delta, instantiates the request's rules in
+// full and the base's rules only through delta pivots, then runs the
+// certainty closure and emission.  The positive fixpoint is monotone, so
+// every base atom, instance and positive-certain atom stays valid under any
+// request; negation is resolved only at emission.  `ground(p)` is
+// `ground_request(ground_base(p), {})` — there is one engine.
+//
 // Hot-path machinery (each independently gated by GroundOptions so the
 // differential suite can cross-check it against the naive path):
 //   * per-predicate atom stores keyed by interned signature ids, with
@@ -185,7 +195,39 @@ struct GroundOptions {
 
 /// Ground `program`.  Throws AspError on programs outside the supported
 /// fragment (unsafe rules are rejected earlier, at Program construction).
+/// Same as ground_request(*ground_base(program, opts), {}, opts).
 GroundProgram ground(const Program& program, const GroundOptions& opts = {});
+
+/// The frozen grounding of a base program (defined in ground.cpp): possible
+/// atoms per signature, certain atoms in closure order, and the instances
+/// that can still emit under some request, all as flat arrays of 32-bit
+/// term ids.
+/// Immutable once built, so concurrent ground_request calls may share one.
+struct GroundBase;
+
+/// Run the fixpoint over `program` and freeze it.  The base keeps its own
+/// copy of the rules a request's delta can re-join (every rule but the
+/// facts), so it does not borrow `program`.  record_provenance / profile in
+/// `opts` are recorded for the base's own instances.  `request_at` is the
+/// rule index at which requests' rules are ordered (default: after the
+/// base's): ground_request emits its statements in the order ground() emits
+/// them for base[0, request_at) ∪ request ∪ base[request_at, end), whenever
+/// the request changes no atom the base derives.
+std::shared_ptr<const GroundBase> ground_base(
+    const Program& program, const GroundOptions& opts = {},
+    std::size_t request_at = SIZE_MAX);
+
+/// Ground `base` ∪ `request`: restore the base, seed the request's facts,
+/// instantiate its rules, resume the base's rules from the delta, then close
+/// certainty and emit.  Equal to ground(base program ∪ request) as a set of
+/// statements; a request rule instance that duplicates a base instance of a
+/// different rule is emitted once more.  Throws AspError when `opts` asks
+/// for provenance or profiling that the base was not built with.
+GroundProgram ground_request(const GroundBase& base, const Program& request,
+                             const GroundOptions& opts = {});
+
+/// Approximate heap footprint of a frozen base.
+std::size_t ground_base_bytes(const GroundBase& base);
 
 /// The retained naive reference path: full re-instantiation, no indexes, no
 /// join planning.  Produces the same ground program as `ground` modulo

@@ -98,6 +98,9 @@ class Term {
 
   bool valid() const { return id_ != kInvalid; }
   std::uint32_t id() const { return id_; }
+  /// The handle whose id() is `id`: flat snapshots store terms as 32-bit
+  /// ids and rebuild handles from them.  `id` must come from id().
+  static Term from_id(std::uint32_t id) { return Term(id); }
 
   TermKind kind() const;
   bool is_ground() const;  ///< contains no variables

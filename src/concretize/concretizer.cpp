@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <cstdlib>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <string_view>
+#include <utility>
 
 #include "src/concretize/reach.hpp"
 #include "src/support/error.hpp"
@@ -164,12 +166,14 @@ const Program& cached_fragment(std::string_view text) {
 
 // ---- Compiler --------------------------------------------------------------
 
-/// Request-independent compile state: everything the Compiler produces
-/// before seeing a request.  Restoring this snapshot replaces the
-/// package/reusable compilation passes with vector copies of interned
-/// 32-bit term handles.
+/// Request-independent compile state: the frozen grounding of the base
+/// program plus the compile state a request program is compiled against.
+/// A request compiles only its own facts and rules, and grounding resumes
+/// the base from the request's delta (DESIGN.md §4.1).  The base program
+/// itself is not kept: its grounding holds all a request needs.
 struct Concretizer::CompileCache {
-  Program program;  // package + reusable facts and rules
+  std::shared_ptr<const asp::GroundBase> ground;
+  std::size_t base_rules = 0;  // rules of the base program
   std::map<std::string, std::set<std::string>> candidates;
   std::map<std::string,
            std::pair<std::string, std::pair<std::string, spec::VersionConstraint>>>
@@ -179,42 +183,65 @@ struct Concretizer::CompileCache {
   std::size_t fresh = 0;
 };
 
-/// Builds the full ASP program for one request: package facts, specialized
-/// per-directive rules, reusable-spec facts, request constraints, and the
-/// static logic above.
+/// Builds the ASP program in two parts: the request-independent base
+/// (package facts, specialized per-directive rules, reusable-spec facts,
+/// platform facts and the static logic above), compiled once per slice into
+/// a CompileCache, and one request program per request set (its root
+/// facts, constraints and whatever ranges or platform values only it adds).
 class Concretizer::Compiler {
  public:
+  /// Request mode: compile requests against `cache`.
   Compiler(const repo::Repository& repo, const ConcretizerOptions& opts,
            const std::map<std::string, Spec>& reusable,
-           std::shared_ptr<const Concretizer::CompileCache> cache = nullptr,
-           const std::set<std::string>* keep = nullptr)
+           const Concretizer::CompileCache& cache)
+      : repo_(repo), opts_(opts), reusable_(reusable),
+        candidates_(cache.candidates), ranges_(cache.ranges),
+        oses_(cache.oses), targets_(cache.targets), fresh_(cache.fresh) {}
+
+  /// Base mode: compile_base() next.  With `keep`, only the reusable
+  /// entries whose hash is in the set contribute facts (the
+  /// reachability-pruned slice, DESIGN.md §15); the os/target choice space
+  /// still reflects every entry.
+  Compiler(const repo::Repository& repo, const ConcretizerOptions& opts,
+           const std::map<std::string, Spec>& reusable,
+           const std::set<std::string>* keep)
       : repo_(repo), opts_(opts), reusable_(reusable), keep_(keep) {
-    if (cache) {
-      program_ = cache->program;
-      candidates_ = cache->candidates;
-      ranges_ = cache->ranges;
-      oses_ = cache->oses;
-      targets_ = cache->targets;
-      fresh_ = cache->fresh;
-      base_compiled_ = true;
-    } else {
-      collect_version_candidates();
-    }
+    collect_version_candidates();
   }
 
-  /// Run the request-independent passes and snapshot the result for reuse
-  /// across concretizations.  With `keep`, only the reusable entries whose
-  /// hash is in the set contribute facts (the reachability-pruned slice,
-  /// DESIGN.md §15); the os/target choice space still reflects every entry.
+  /// The base program: package and reusable facts and rules, the platform
+  /// facts, the range facts of package directives and the static logic.
+  /// `request_at` receives the rule index a request's rules take in
+  /// one-shot order (after the package and reusable passes).
+  Program compile_base(std::size_t* request_at) {
+    if (opts_.enable_splicing && opts_.encoding != ReuseEncoding::Indirect) {
+      throw Error("splicing requires the indirect reuse encoding");
+    }
+    compile_packages();
+    compile_reusable();
+    *request_at = program_.size();
+    compile_platform();
+    emit_range_facts();
+    program_.extend(cached_fragment(kBaseLogic));
+    if (opts_.encoding == ReuseEncoding::Indirect) {
+      program_.extend(cached_fragment(kIndirectRecovery));
+    }
+    if (opts_.enable_splicing) program_.extend(cached_fragment(kSpliceLogic));
+    return std::exchange(program_, Program{});
+  }
+
+  /// Compile and ground a base program and snapshot the result for reuse
+  /// across concretizations.
   static std::shared_ptr<const Concretizer::CompileCache> build_cache(
       const repo::Repository& repo, const ConcretizerOptions& opts,
       const std::map<std::string, Spec>& reusable,
-      const std::set<std::string>* keep = nullptr) {
-    Compiler c(repo, opts, reusable, nullptr, keep);
-    c.compile_packages();
-    c.compile_reusable();
+      const std::set<std::string>* keep) {
+    Compiler c(repo, opts, reusable, keep);
+    std::size_t request_at = 0;
+    Program base = c.compile_base(&request_at);
     auto cache = std::make_shared<Concretizer::CompileCache>();
-    cache->program = std::move(c.program_);
+    cache->ground = asp::ground_base(base, {}, request_at);
+    cache->base_rules = base.rules().size();
     cache->candidates = std::move(c.candidates_);
     cache->ranges = std::move(c.ranges_);
     cache->oses = std::move(c.oses_);
@@ -223,23 +250,10 @@ class Concretizer::Compiler {
     return cache;
   }
 
+  /// The request program: everything `requests` add to the cache's base.
   Program compile(const std::vector<Request>& requests) {
-    if (!base_compiled_) {
-      compile_packages();
-      compile_reusable();
-    }
     for (const Request& request : requests) compile_request(request);
     emit_range_facts();
-    program_.extend(cached_fragment(kBaseLogic));
-    if (opts_.encoding == ReuseEncoding::Indirect) {
-      program_.extend(cached_fragment(kIndirectRecovery));
-    }
-    if (opts_.enable_splicing) {
-      if (opts_.encoding != ReuseEncoding::Indirect) {
-        throw Error("splicing requires the indirect reuse encoding");
-      }
-      program_.extend(cached_fragment(kSpliceLogic));
-    }
     return std::move(program_);
   }
 
@@ -269,13 +283,19 @@ class Concretizer::Compiler {
     auto it = ranges_.find(key);
     if (it != ranges_.end()) return it->second.first;
     std::string rid = "r" + std::to_string(ranges_.size());
-    ranges_.emplace(key, std::make_pair(rid, std::make_pair(package, vc)));
+    it = ranges_.emplace(key, std::make_pair(rid, std::make_pair(package, vc)))
+             .first;
+    new_ranges_.push_back(&*it);
     return rid;
   }
 
+  /// range_allows facts of the ranges registered since the last call, in
+  /// key order.
   void emit_range_facts() {
-    for (const auto& [key, entry] : ranges_) {
-      const auto& [rid, pkg_vc] = entry;
+    std::sort(new_ranges_.begin(), new_ranges_.end(),
+              [](const auto* a, const auto* b) { return a->first < b->first; });
+    for (const auto* range : new_ranges_) {
+      const auto& [rid, pkg_vc] = range->second;
       const auto& [package, vc] = pkg_vc;
       for (const std::string& v : candidates_[package]) {
         if (vc.includes(spec::Version::parse(v))) {
@@ -284,6 +304,7 @@ class Concretizer::Compiler {
         }
       }
     }
+    new_ranges_.clear();
   }
 
   // -- when-spec compilation --------------------------------------------
@@ -540,6 +561,22 @@ class Concretizer::Compiler {
     }
   }
 
+  /// The host platform, preferred by the @120 objectives unless a request
+  /// pins something else, and the os/target choice space of every entry.
+  void compile_platform() {
+    oses_.insert(opts_.default_os);
+    targets_.insert(opts_.default_target);
+    program_.add_fact(Term::fun("default_os", {str_(opts_.default_os)}));
+    program_.add_fact(
+        Term::fun("default_target", {str_(opts_.default_target)}));
+    for (const std::string& o : oses_) {
+      program_.add_fact(Term::fun("allowed_os", {str_(o)}));
+    }
+    for (const std::string& t : targets_) {
+      program_.add_fact(Term::fun("allowed_target", {str_(t)}));
+    }
+  }
+
   // -- request compilation ---------------------------------------------------
 
   void compile_request(const Request& request) {
@@ -579,16 +616,21 @@ class Concretizer::Compiler {
              {attr_("variant", {node_(name), str_(key), str_(val)}), false}},
             who + " variant " + key + " must be " + val);
       }
+      // A pinned value the base's choice space lacks joins it here.
       if (n.os) {
         add_constraint({{attr_("node_os", {node_(name), str_(*n.os)}), false}},
                        who + " os must be " + *n.os);
-        oses_.insert(*n.os);
+        if (oses_.insert(*n.os).second) {
+          program_.add_fact(Term::fun("allowed_os", {str_(*n.os)}));
+        }
       }
       if (n.target) {
         add_constraint(
             {{attr_("node_target", {node_(name), str_(*n.target)}), false}},
             who + " target must be " + *n.target);
-        targets_.insert(*n.target);
+        if (targets_.insert(*n.target).second) {
+          program_.add_fact(Term::fun("allowed_target", {str_(*n.target)}));
+        }
       }
     }
 
@@ -596,20 +638,6 @@ class Concretizer::Compiler {
       add_constraint({{attr_("node", {node_(f)}), true}},
                      "request " + req.str() + ": package " + f +
                          " must not appear in the solution");
-    }
-
-    oses_.insert(opts_.default_os);
-    targets_.insert(opts_.default_target);
-    // The host platform, preferred by the @120 objectives unless the
-    // request pins something else.
-    program_.add_fact(Term::fun("default_os", {str_(opts_.default_os)}));
-    program_.add_fact(
-        Term::fun("default_target", {str_(opts_.default_target)}));
-    for (const std::string& o : oses_) {
-      program_.add_fact(Term::fun("allowed_os", {str_(o)}));
-    }
-    for (const std::string& t : targets_) {
-      program_.add_fact(Term::fun("allowed_target", {str_(t)}));
     }
   }
 
@@ -625,18 +653,34 @@ class Concretizer::Compiler {
   std::map<std::string,
            std::pair<std::string, std::pair<std::string, spec::VersionConstraint>>>
       ranges_;
+  /// Ranges registered since the last emit_range_facts (map nodes are
+  /// address-stable).
+  std::vector<const decltype(ranges_)::value_type*> new_ranges_;
   std::set<std::string> oses_;
   std::set<std::string> targets_;
   std::size_t fresh_ = 0;
-  bool base_compiled_ = false;  // package/reusable passes restored from cache
 };
 
 // ---- Concretizer ------------------------------------------------------------
 
 asp::Program Concretizer::compile_program(
     const std::vector<Request>& requests) const {
-  Compiler compiler(repo_, opts_, reusable_, ensure_cache(requests));
-  return compiler.compile(requests);
+  std::shared_ptr<const CompileCache> cache = ensure_cache(requests);
+  std::size_t request_at = 0;
+  Program program = base_program(requests, &request_at);
+  program.extend(Compiler(repo_, opts_, reusable_, *cache).compile(requests));
+  return program;
+}
+
+asp::Program Concretizer::base_program(const std::vector<Request>& requests,
+                                       std::size_t* request_at) const {
+  std::optional<reach::Slice> slice;
+  if (opts_.prune_reuse && !reusable_.empty() && !requests.empty()) {
+    slice = reach::slice_reusable(repo_, reusable_, reusable_edges_, requests);
+    if (slice->keep.size() == slice->total) slice.reset();
+  }
+  return Compiler(repo_, opts_, reusable_, slice ? &slice->keep : nullptr)
+      .compile_base(request_at);
 }
 
 ProfileReport Concretizer::profile(const std::vector<Request>& requests) const {
@@ -675,13 +719,23 @@ std::string ProfileReport::text(std::size_t top) const {
   return out;
 }
 
+std::shared_ptr<const Concretizer::CompileCache> Concretizer::build_cache(
+    const std::set<std::string>* keep) const {
+  trace::Span span("build_cache", "concretize");
+  auto cache = Compiler::build_cache(repo_, opts_, reusable_, keep);
+  ++cache_builds_;
+  std::size_t bytes = asp::ground_base_bytes(*cache->ground);
+  span.attr("rules", cache->base_rules);
+  span.attr("base_bytes", bytes);
+  trace::Tracer::global().metrics().add("concretize/ground_base_bytes",
+                                        static_cast<std::int64_t>(bytes));
+  return cache;
+}
+
 std::shared_ptr<const Concretizer::CompileCache>
 Concretizer::full_cache_locked() const {
   std::scoped_lock lock(cache_mu_);
-  if (!full_cache_) {
-    full_cache_ = Compiler::build_cache(repo_, opts_, reusable_);
-    ++cache_builds_;
-  }
+  if (!full_cache_) full_cache_ = build_cache(nullptr);
   return full_cache_;
 }
 
@@ -714,8 +768,7 @@ std::shared_ptr<const Concretizer::CompileCache> Concretizer::ensure_cache(
     m.add("concretize/slice_cache_hits");
     return it->second;
   }
-  auto cache = Compiler::build_cache(repo_, opts_, reusable_, &slice.keep);
-  ++cache_builds_;
+  auto cache = build_cache(&slice.keep);
   m.add("concretize/slice_cache_builds");
   slice_caches_.emplace(slice.fingerprint, cache);
   slice_order_.push_back(slice.fingerprint);
@@ -863,7 +916,6 @@ void Concretizer::run_pass(const std::vector<Request>& requests,
                            const PassOptions& po,
                            const std::function<void(Pass&)>& step) const {
   if (requests.empty()) throw Error(std::string(po.name) + ": no requests");
-  std::shared_ptr<const CompileCache> cache = ensure_cache(requests);
   // The recorder's one-time set-up (a 1 MiB ring) is not request work.
   flight::Recorder& recorder = flight::Recorder::global();
   trace::Span span(po.name, "concretize");
@@ -876,18 +928,35 @@ void Concretizer::run_pass(const std::vector<Request>& requests,
                                recorder);
   Pass pass;
   pass.span = &span;
+  std::shared_ptr<const CompileCache> cache;
+  Program request_program;
+  Program base;  // profiling and explanation passes ground a fresh base
+  std::size_t request_at = 0;
+  const bool fresh_base = po.profile || po.keep_ground;
   {
+    // Prune and cold slice builds (base compile + base ground) are compile
+    // work of the request that triggers them.
     flight::PhaseScope phase(flight::Phase::Compile, "compile", "concretize");
-    pass.program = Compiler(repo_, opts_, reusable_, std::move(cache))
-                       .compile(requests);
-    phase.attr("rules", pass.program.rules().size());
+    cache = ensure_cache(requests);
+    request_program = Compiler(repo_, opts_, reusable_, *cache).compile(requests);
+    if (fresh_base) base = base_program(requests, &request_at);
+    phase.attr("rules", cache->base_rules + request_program.rules().size());
   }
   {
     flight::PhaseScope phase(flight::Phase::Ground, "ground", "concretize");
-    asp::GroundOptions gopts;
-    gopts.record_provenance = po.profile || po.keep_ground;
-    gopts.profile = po.profile;
-    pass.ground = asp::ground(pass.program, gopts);
+    if (fresh_base) {
+      // Provenance and per-rule costs cover the base's instances too, so
+      // these passes ground the base afresh through the same two calls.
+      asp::GroundOptions gopts;
+      gopts.record_provenance = true;
+      gopts.profile = po.profile;
+      auto frozen = asp::ground_base(base, gopts, request_at);
+      pass.ground = asp::ground_request(*frozen, request_program, gopts);
+      pass.program = std::move(base);  // rule indexes: base, then request
+      pass.program.extend(request_program);
+    } else {
+      pass.ground = asp::ground_request(*cache->ground, request_program);
+    }
   }
   {
     flight::PhaseScope phase(flight::Phase::Solve, "solve", "concretize");
@@ -898,7 +967,8 @@ void Concretizer::run_pass(const std::vector<Request>& requests,
     // The ground program's teardown is solve-state teardown: keep it
     // inside this phase unless the step reads it.
     if (!po.keep_ground) pass.ground = {};
-    if (!po.keep_ground && !po.profile) pass.program = {};
+    request_program = {};
+    cache.reset();
   }
   flight::PhaseScope phase(flight::Phase::Extract, "extract", "concretize");
   // The profile digest rides the account's note, so slow-request dumps name

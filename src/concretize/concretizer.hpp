@@ -222,8 +222,8 @@ class Concretizer {
   /// Internal: compiles package/reusable/request facts and rules (exposed
   /// for the file-local solve path; not part of the stable API).
   class Compiler;
-  /// Internal: snapshot of the request-independent compile state (package
-  /// and reusable-spec facts/rules, version candidates, range registry).
+  /// Internal: snapshot of the request-independent compile state (the base
+  /// program's frozen grounding, version candidates, range registry).
   /// Built lazily on first solve and shared by every subsequent
   /// concretization from this Concretizer; invalidated by add_reusable.
   /// Terms are globally interned, so repeated solves also skip re-interning
@@ -241,7 +241,9 @@ class Concretizer {
   /// What a pass hands its extraction step.
   struct Pass {
     trace::Span* span = nullptr;  ///< the request span
-    asp::Program program;         ///< kept when profiling or keep_ground
+    /// Base + request program, set when profiling or keep_ground (the
+    /// provenance's rule indexes point into it).
+    asp::Program program;
     asp::GroundProgram ground;    ///< kept when keep_ground
     asp::SolveResult solved;
     asp::Profile profile;         ///< directive costs when profiling
@@ -260,6 +262,15 @@ class Concretizer {
   std::shared_ptr<const CompileCache> ensure_cache(
       const std::vector<Request>& requests) const;
   std::shared_ptr<const CompileCache> full_cache_locked() const;
+  /// The base program of the slice serving `requests`, compiled afresh
+  /// (compile caches keep only its grounding); `request_at` receives the
+  /// rule index request rules take in one-shot order.
+  asp::Program base_program(const std::vector<Request>& requests,
+                            std::size_t* request_at) const;
+  /// Compile and ground one cache (the full map, or the `keep` slice);
+  /// callers hold cache_mu_.
+  std::shared_ptr<const CompileCache> build_cache(
+      const std::set<std::string>* keep) const;
   void register_reusable(const spec::Spec& concrete);
   void invalidate_caches();
 

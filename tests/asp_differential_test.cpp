@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "src/asp/asp.hpp"
+#include "src/support/error.hpp"
 
 namespace splice::asp {
 namespace {
@@ -336,6 +337,130 @@ TEST_P(DifferentialTest, OptimizedMatchesReference) {
 // 250 seeded cases (the harness requirement is >= 200).
 INSTANTIATE_TEST_SUITE_P(Seeds, DifferentialTest,
                          ::testing::Range(0u, 250u));
+
+// ---- base/request split ----------------------------------------------------
+
+/// `p` split at a seeded point: the base holds the rules (facts included)
+/// and #minimize elements before it, the request the rest, so base ∪
+/// request is `p` in order.
+std::pair<Program, Program> split(const Program& p, unsigned seed) {
+  std::mt19937 rng(seed ^ 0x5eedu);
+  auto cut = [&](std::size_t n) {
+    return std::uniform_int_distribution<std::size_t>(0, n)(rng);
+  };
+  std::size_t rule_cut = cut(p.rules().size());
+  std::size_t min_cut = cut(p.minimizes().size());
+  Program base;
+  Program request;
+  for (std::size_t i = 0; i < p.rules().size(); ++i) {
+    (i < rule_cut ? base : request).add_rule(p.rules()[i]);
+  }
+  for (std::size_t i = 0; i < p.minimizes().size(); ++i) {
+    (i < min_cut ? base : request).add_minimize(p.minimizes()[i]);
+  }
+  return {std::move(base), std::move(request)};
+}
+
+/// The canonical rendering as a set: a request rule may re-emit a statement
+/// a base rule already produced (ground_request's documented duplicate).
+std::vector<std::string> as_set(std::vector<std::string> statements) {
+  statements.erase(std::unique(statements.begin(), statements.end()),
+                   statements.end());
+  return statements;
+}
+
+class GroundReuseTest : public ::testing::TestWithParam<unsigned> {};
+
+// Resuming a frozen base from a request's delta must ground exactly what
+// one-shot grounding of base ∪ request grounds, for the optimized and the
+// reference engine alike, with and without provenance/profiling.
+TEST_P(GroundReuseTest, ResumedBaseMatchesOneShot) {
+  unsigned seed = GetParam();
+  SCOPED_TRACE("seed=" + std::to_string(seed));
+  Program p = ProgramGen(seed).generate();
+  auto [base, request] = split(p, seed);
+
+  std::shared_ptr<const GroundBase> frozen = ground_base(base);
+  GroundProgram resumed = ground_request(*frozen, request);
+  GroundProgram whole = ground(p);
+  GroundProgram ref = ground_reference(p);
+  std::vector<std::string> want = as_set(canonical(whole));
+  EXPECT_EQ(as_set(canonical(resumed)), want);
+  EXPECT_EQ(as_set(canonical(ref)), want);
+  EXPECT_EQ(resumed.stats.possible_atoms, whole.stats.possible_atoms);
+  EXPECT_EQ(resumed.stats.certain_atoms, whole.stats.certain_atoms);
+
+  // A base serves any number of requests: resuming it again is identical,
+  // statement for statement and in order.
+  GroundProgram again = ground_request(*frozen, request);
+  std::vector<std::string> first = canonical(resumed);
+  EXPECT_EQ(canonical(again), first);
+  EXPECT_EQ(again.rules.size(), resumed.rules.size());
+  EXPECT_EQ(again.num_atoms(), resumed.num_atoms());
+
+  GroundOptions refopts = GroundOptions::reference();
+  GroundProgram ref_resumed =
+      ground_request(*ground_base(base, refopts), request, refopts);
+  EXPECT_EQ(as_set(canonical(ref_resumed)), want);
+
+  GroundOptions traced;
+  traced.record_provenance = true;
+  traced.profile = true;
+  GroundProgram prof =
+      ground_request(*ground_base(base, traced), request, traced);
+  EXPECT_EQ(canonical(prof), first);
+  ASSERT_NE(prof.provenance, nullptr);
+  ASSERT_NE(prof.profile, nullptr);
+  EXPECT_EQ(prof.provenance->rule_origin.size(), prof.rules.size());
+  EXPECT_EQ(prof.provenance->choice_origin.size(), prof.choices.size());
+  std::uint64_t rules = 0;
+  std::uint64_t choices = 0;
+  for (const auto& rc : prof.profile->per_rule) {
+    rules += rc.emitted_rules;
+    choices += rc.emitted_choices;
+  }
+  EXPECT_EQ(prof.profile->per_rule.size(), p.rules().size());
+  EXPECT_EQ(rules, prof.stats.rules);
+  EXPECT_EQ(choices, prof.stats.choices);
+  // A base without provenance cannot grant it to a request.
+  EXPECT_THROW(ground_request(*frozen, request, traced), AspError);
+
+  SolveResult r_resumed = solve_ground(resumed);
+  SolveResult r_whole = solve_ground(whole);
+  ASSERT_EQ(r_resumed.sat, r_whole.sat);
+  if (!r_resumed.sat) return;
+  EXPECT_EQ(r_resumed.model.costs, r_whole.model.costs);
+  VerifyResult v = verify_model(resumed, r_resumed.model);
+  EXPECT_TRUE(v.ok) << v.str();
+}
+
+INSTANTIATE_TEST_SUITE_P(SplitSeeds, GroundReuseTest,
+                         ::testing::Range(0u, 250u));
+
+// One split per resume mechanism the random programs reach only rarely:
+// a request fact flipping a base negation, a request atom re-joining a
+// base rule, a request fact widening a base choice, and a #minimize
+// element matching a request atom.
+TEST(GroundReuseCases, EachResumeMechanismMatchesOneShot) {
+  const std::pair<const char*, const char*> cases[] = {
+      {"p :- not q. r :- p. s :- r.", "q."},
+      {"e(1). e(2). t(X) :- e(X), u(X). v(X) :- t(X), e(X).", "u(2)."},
+      {"go. opt(a). 1 { pick(X) : opt(X) } 1 :- go.", "opt(b)."},
+      {"{ pick(a) }. #minimize { 1@1,X : pick(X), not skip(X) }.",
+       "{ pick(b) }. skip(a)."},
+  };
+  for (const auto& [base_text, request_text] : cases) {
+    SCOPED_TRACE(std::string(base_text) + " | " + request_text);
+    Program base = parse_program(base_text);
+    Program request = parse_program(request_text);
+    Program whole = base;
+    whole.extend(request);
+    GroundProgram resumed = ground_request(*ground_base(base), request);
+    GroundProgram once = ground(whole);
+    EXPECT_EQ(as_set(canonical(resumed)), as_set(canonical(once)));
+    EXPECT_EQ(resumed.stats.certain_atoms, once.stats.certain_atoms);
+  }
+}
 
 // ---- each optimization gated individually ----------------------------------
 

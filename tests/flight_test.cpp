@@ -569,6 +569,39 @@ TEST(FlightPipelineTest, RadiussConcretizationRoundTrips) {
   trace::Tracer::global().metrics().clear();
 }
 
+/// A cold request pays for its slice (prune, base compile, base ground)
+/// inside its compile phase, so its phases cover the call's wall time: the
+/// account and the caller's clock agree to within 1%.
+TEST(FlightPipelineTest, ColdRequestPhasesCoverItsWallTime) {
+  Recorder& rec = Recorder::global();
+  RecorderOptions saved = rec.options();
+  rec.configure(RecorderOptions{});
+
+  repo::Repository repo = workload::radiuss_repo();
+  concretize::ConcretizerOptions copts;
+  copts.enable_splicing = true;
+  concretize::Concretizer c(repo, copts);
+  c.add_reusable_all(workload::local_cache_specs(repo));
+  concretize::Request request("visit ^mpiabi");
+  auto t0 = std::chrono::steady_clock::now();
+  c.concretize(request);
+  double wall = std::chrono::duration<double>(
+                    std::chrono::steady_clock::now() - t0)
+                    .count();
+  EXPECT_EQ(c.compile_cache_builds(), 1u);
+
+  std::vector<RequestAccount> accounts = rec.requests();
+  ASSERT_EQ(accounts.size(), 1u);
+  double phases = accounts[0].phase_sum_seconds();
+  EXPECT_LE(phases, wall);
+  EXPECT_GE(phases, 0.99 * wall)
+      << "phases cover only " << (phases / wall * 100)
+      << "% of the cold request's wall time";
+
+  rec.configure(saved);
+  trace::Tracer::global().metrics().clear();
+}
+
 /// profile() and explain_splice() run the same instrumented pass as
 /// concretize(): one account each, with compile/ground/solve phases that
 /// the request span covers.
