@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <limits>
+#include <stdexcept>
 
 namespace splice::asp::sat {
 
@@ -60,6 +62,25 @@ void Solver::set_progress(ProgressFn fn, std::uint64_t conflict_interval) {
   progress_interval_ = conflict_interval == 0 ? 1 : conflict_interval;
 }
 
+void Solver::reserve(std::size_t vars, std::size_t clauses,
+                     std::size_t lits) {
+  assigns_.reserve(vars);
+  level_.reserve(vars);
+  reason_.reserve(vars);
+  trail_pos_.reserve(vars);
+  trail_.reserve(vars);
+  activity_.reserve(vars);
+  phase_.reserve(vars);
+  model_.reserve(vars);
+  seen_.reserve(vars);
+  heap_pos_.reserve(vars);
+  heap_.reserve(vars);
+  watches_.reserve(2 * vars);
+  pb_watches_.reserve(2 * vars);
+  clauses_.reserve(clauses);
+  lits_.reserve(lits);
+}
+
 Var Solver::new_var() {
   auto v = static_cast<Var>(assigns_.size());
   assigns_.push_back(Value::Undef);
@@ -79,21 +100,25 @@ Var Solver::new_var() {
   return v;
 }
 
-bool Solver::add_clause(std::vector<Lit> lits, Origin origin) {
+bool Solver::add_clause(std::span<const Lit> lits, Origin origin) {
   if (unsat_) return false;
-  // Simplify against the level-0 assignment.
-  std::sort(lits.begin(), lits.end());
-  lits.erase(std::unique(lits.begin(), lits.end()), lits.end());
-  std::vector<Lit> out;
-  for (Lit l : lits) {
-    if (std::find(out.begin(), out.end(), negate(l)) != out.end()) {
-      return true;  // tautology
-    }
+  // Simplify against the level-0 assignment.  Sorted, a literal and its
+  // negation (2v, 2v+1) sit side by side, so one pass finds tautologies.
+  std::vector<Lit>& out = add_tmp_;
+  out.assign(lits.begin(), lits.end());
+  std::sort(out.begin(), out.end());
+  out.erase(std::unique(out.begin(), out.end()), out.end());
+  for (std::size_t i = 1; i < out.size(); ++i) {
+    if (out[i] == negate(out[i - 1])) return true;  // tautology
+  }
+  std::size_t kept = 0;
+  for (Lit l : out) {
     Value v = value(l);
     if (v == Value::True && level_[var_of(l)] == 0) return true;  // satisfied
     if (v == Value::False && level_[var_of(l)] == 0) continue;    // falsified
-    out.push_back(l);
+    out[kept++] = l;
   }
+  out.resize(kept);
   if (out.empty()) {
     unsat_ = true;
     return false;
@@ -105,7 +130,7 @@ bool Solver::add_clause(std::vector<Lit> lits, Origin origin) {
     }
     return true;
   }
-  attach_clause(std::move(out), false, /*watch=*/true, origin);
+  attach_clause(out, false, /*watch=*/true, origin);
   return true;
 }
 
@@ -152,21 +177,28 @@ bool Solver::add_pb_le(std::vector<std::pair<Lit, std::int64_t>> terms,
   return true;
 }
 
-Solver::ClauseRef Solver::attach_clause(std::vector<Lit> lits, bool learned,
-                                        bool watch, Origin origin) {
+Solver::ClauseRef Solver::attach_clause(std::span<const Lit> lits,
+                                        bool learned, bool watch,
+                                        Origin origin) {
   assert(lits.size() >= 2 || !watch);
+  if (lits_.size() + lits.size() > std::numeric_limits<std::uint32_t>::max() ||
+      clauses_.size() >= kPbTag) {
+    throw std::length_error("sat::Solver: clause store full");
+  }
   auto ref = static_cast<ClauseRef>(clauses_.size());
   Clause c;
-  c.lits = std::move(lits);
+  c.offset = static_cast<std::uint32_t>(lits_.size());
+  c.size = static_cast<std::uint32_t>(lits.size());
   c.learned = learned;
   c.origin = origin;
   c.activity = var_inc_;
   c.dead = !watch;  // unwatched clauses exist only as analyze() inputs
+  lits_.insert(lits_.end(), lits.begin(), lits.end());
   if (watch) {
-    watches_[c.lits[0]].push_back(ref);
-    watches_[c.lits[1]].push_back(ref);
+    watches_[lits[0]].push_back(ref);
+    watches_[lits[1]].push_back(ref);
   }
-  clauses_.push_back(std::move(c));
+  clauses_.push_back(c);
   if (learned) ++stats_.learned;
   return ref;
 }
@@ -209,26 +241,27 @@ Solver::ClauseRef Solver::propagate() {
     ClauseRef confl = kNoReason;
     while (i < wl.size()) {
       ClauseRef ref = wl[i++];
-      Clause& c = clauses_[ref];
+      const Clause& c = clauses_[ref];
       if (c.dead) continue;
-      if (c.lits[0] == false_lit) std::swap(c.lits[0], c.lits[1]);
-      assert(c.lits[1] == false_lit);
-      if (value(c.lits[0]) == Value::True) {
+      Lit* lits = lits_of(c);
+      if (lits[0] == false_lit) std::swap(lits[0], lits[1]);
+      assert(lits[1] == false_lit);
+      if (value(lits[0]) == Value::True) {
         wl[j++] = ref;
         continue;
       }
       bool moved = false;
-      for (std::size_t k = 2; k < c.lits.size(); ++k) {
-        if (value(c.lits[k]) != Value::False) {
-          std::swap(c.lits[1], c.lits[k]);
-          watches_[c.lits[1]].push_back(ref);
+      for (std::size_t k = 2; k < c.size; ++k) {
+        if (value(lits[k]) != Value::False) {
+          std::swap(lits[1], lits[k]);
+          watches_[lits[1]].push_back(ref);
           moved = true;
           break;
         }
       }
       if (moved) continue;
       wl[j++] = ref;
-      if (!enqueue(c.lits[0], ref)) {
+      if (!enqueue(lits[0], ref)) {
         confl = ref;
         break;
       }
@@ -265,11 +298,12 @@ Solver::ClauseRef Solver::propagate_pb(Lit p) {
         // Violation entirely from level-0 assignments: the instance is
         // unsatisfiable outright.
         unsat_ = true;
-        return attach_clause({p, negate(p)}, true, /*watch=*/false, pb.origin);
+        const Lit absurd[] = {p, negate(p)};
+        return attach_clause(absurd, true, /*watch=*/false, pb.origin);
       }
       // All literals of the conflict clause are currently false; it is
       // entailed by the PB constraint and handed to analyze() unwatched.
-      return attach_clause(std::move(confl), true, /*watch=*/false, pb.origin);
+      return attach_clause(confl, true, /*watch=*/false, pb.origin);
     }
     // Strengthen: any unassigned term that would overflow must be false.
     // Above level 0 the literal carries a tagged reason that reason_of()
@@ -301,8 +335,7 @@ Solver::ClauseRef Solver::reason_of(Var v) {
       lits.push_back(negate(l));
     }
   }
-  r = attach_clause(std::move(lits), /*learned=*/false, /*watch=*/false,
-                    pb.origin);
+  r = attach_clause(lits, /*learned=*/false, /*watch=*/false, pb.origin);
   reason_[v] = r;
   return r;
 }
@@ -335,8 +368,9 @@ void Solver::analyze(ClauseRef confl, std::vector<Lit>& learnt,
       }
     }
     std::size_t start = p_valid ? 1 : 0;
-    for (std::size_t k = start; k < c.lits.size(); ++k) {
-      Lit q = c.lits[k];
+    const Lit* lits = lits_of(c);
+    for (std::size_t k = start; k < c.size; ++k) {
+      Lit q = lits[k];
       Var v = var_of(q);
       if (!seen_[v] && level_[v] > 0) {
         seen_[v] = true;
@@ -358,10 +392,11 @@ void Solver::analyze(ClauseRef confl, std::vector<Lit>& learnt,
     // Reason clauses keep their implied literal at position 0; restore that
     // invariant defensively in case watch maintenance reordered it.
     if (reason_ref != kNoReason) {
-      Clause& rc = clauses_[reason_ref];
-      for (std::size_t k = 0; k < rc.lits.size(); ++k) {
-        if (rc.lits[k] == p) {
-          std::swap(rc.lits[0], rc.lits[k]);
+      const Clause& rc = clauses_[reason_ref];
+      Lit* rl = lits_of(rc);
+      for (std::size_t k = 0; k < rc.size; ++k) {
+        if (rl[k] == p) {
+          std::swap(rl[0], rl[k]);
           break;
         }
       }
@@ -424,7 +459,7 @@ void Solver::reduce_db() {
   // Called at level 0 only.  Keep the more active half of learned clauses.
   std::vector<ClauseRef> learned;
   for (ClauseRef i = 0; i < clauses_.size(); ++i) {
-    if (clauses_[i].learned && !clauses_[i].dead && clauses_[i].lits.size() > 2) {
+    if (clauses_[i].learned && !clauses_[i].dead && clauses_[i].size > 2) {
       learned.push_back(i);
     }
   }
@@ -439,10 +474,10 @@ void Solver::reduce_db() {
   }
   for (auto& wl : watches_) wl.clear();
   for (ClauseRef i = 0; i < clauses_.size(); ++i) {
-    Clause& c = clauses_[i];
+    const Clause& c = clauses_[i];
     if (c.dead) continue;
-    watches_[c.lits[0]].push_back(i);
-    watches_[c.lits[1]].push_back(i);
+    watches_[lits_of(c)[0]].push_back(i);
+    watches_[lits_of(c)[1]].push_back(i);
   }
   num_learned_limit_ += num_learned_limit_ / 2;
 }
@@ -491,7 +526,7 @@ void Solver::analyze_final(Lit p) {
       if (assumption_mark_[x]) final_core_.push_back(trail_[i]);
     } else {
       const Clause& c = clauses_[r];
-      for (Lit q : c.lits) {
+      for (Lit q : std::span<const Lit>(lits_of(c), c.size)) {
         Var v = var_of(q);
         if (v != x && level_[v] > 0) seen_[v] = true;
       }
@@ -548,7 +583,7 @@ Solver::Result Solver::search(const std::vector<Lit>& assumptions) {
       } else {
         ClauseRef ref =
             attach_clause(std::move(learnt), true, /*watch=*/true, rep);
-        if (!enqueue(clauses_[ref].lits[0], ref)) {
+        if (!enqueue(lits_of(clauses_[ref])[0], ref)) {
           unsat_ = true;
           return Result::Unsat;
         }

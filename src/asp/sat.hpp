@@ -27,7 +27,9 @@
 
 #include <cstdint>
 #include <functional>
+#include <initializer_list>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "src/support/json.hpp"
@@ -105,10 +107,21 @@ class Solver {
   Var new_var();
   std::size_t num_vars() const { return assigns_.size(); }
 
+  /// Size the variable arrays for `vars` variables and the clause store for
+  /// `clauses` clauses holding `lits` literals in all, so a loader that
+  /// knows its counts up front grows nothing while it adds.  Changes no
+  /// state the search sees.
+  void reserve(std::size_t vars, std::size_t clauses, std::size_t lits);
+
   /// Add a clause (disjunction).  Returns false if the solver became
   /// trivially UNSAT (empty clause / conflicting units at level 0).
   /// `origin` tags the clause for profiling; kNoOrigin leaves it untagged.
-  bool add_clause(std::vector<Lit> lits, Origin origin = kNoOrigin);
+  /// The literals are copied; duplicates, level-0 false literals and
+  /// tautologies are simplified away in a reused buffer.
+  bool add_clause(std::span<const Lit> lits, Origin origin = kNoOrigin);
+  bool add_clause(std::initializer_list<Lit> lits, Origin origin = kNoOrigin) {
+    return add_clause(std::span<const Lit>(lits.begin(), lits.size()), origin);
+  }
 
   /// Add a constraint sum{ weight[i] : lits[i] true } <= bound.
   /// Weights must be positive.  Conflict and strengthening clauses the
@@ -145,6 +158,8 @@ class Solver {
   /// Model access; valid after solve() returned Sat.  Unconstrained
   /// variables read as false.
   bool model_value(Var v) const { return model_[v]; }
+  /// The whole model, one bit per variable (copy it to keep an incumbent).
+  const std::vector<bool>& model() const { return model_; }
 
   const SatStats& stats() const { return stats_; }
 
@@ -174,8 +189,12 @@ class Solver {
   /// whose explanation clause reason_of() has not built yet.
   static constexpr ClauseRef kPbTag = 0x80000000u;
 
+  /// A clause header.  Its literals live in lits_[offset, offset + size):
+  /// every clause, original, learned or PB reason, is one slice of that
+  /// flat pool, appended in creation order and never moved.
   struct Clause {
-    std::vector<Lit> lits;
+    std::uint32_t offset = 0;
+    std::uint32_t size = 0;
     double activity = 0;
     Origin origin = kNoOrigin;  // profiling tag; learnt clauses inherit a
                                 // representative ancestor origin
@@ -195,6 +214,9 @@ class Solver {
     std::uint32_t pb;
     std::uint32_t term;
   };
+
+  Lit* lits_of(const Clause& c) { return lits_.data() + c.offset; }
+  const Lit* lits_of(const Clause& c) const { return lits_.data() + c.offset; }
 
   Value value(Lit l) const {
     Value v = assigns_[var_of(l)];
@@ -217,7 +239,7 @@ class Solver {
   void decay_activity();
   Lit pick_branch();
   void reduce_db();
-  ClauseRef attach_clause(std::vector<Lit> lits, bool learned, bool watch,
+  ClauseRef attach_clause(std::span<const Lit> lits, bool learned, bool watch,
                           Origin origin = kNoOrigin);
   std::vector<Lit> pb_conflict_clause(const PbConstraint& pb) const;
   SatProfile::OriginCost& origin_cost(Origin o);
@@ -230,6 +252,8 @@ class Solver {
   bool heap_empty() const { return heap_.empty(); }
 
   std::vector<Clause> clauses_;
+  std::vector<Lit> lits_;     // clause literal pool (see Clause)
+  std::vector<Lit> add_tmp_;  // add_clause's simplification buffer
   std::vector<std::vector<ClauseRef>> watches_;  // indexed by falsified literal
   std::vector<std::vector<PbWatch>> pb_watches_;  // indexed by true literal
   std::vector<PbConstraint> pbs_;

@@ -158,10 +158,15 @@ SolveResult solve_ground(const GroundProgram& gp, const SolveOptions& opts) {
   // (priority, bound) pairs already fixed by finished levels.
   std::vector<std::pair<std::int64_t, std::int64_t>> fixed_bounds;
 
-  auto snapshot_model = [&](const Translation& t) {
+  // The incumbent is the SAT model's bits, copied at each improvement; the
+  // atom set is built once, for the optimum.
+  auto model_of = [&](const std::vector<bool>& bits) {
     Model m;
+    std::size_t n = 0;
+    for (AtomId a = 0; a < gp.num_atoms(); ++a) n += tr->model_atom(bits, a);
+    m.atoms.reserve(n);
     for (AtomId a = 0; a < gp.num_atoms(); ++a) {
-      if (t.model_atom(a)) m.atoms.insert(gp.atom_term(a));
+      if (tr->model_atom(bits, a)) m.atoms.insert(gp.atom_term(a));
     }
     return m;
   };
@@ -202,7 +207,8 @@ SolveResult solve_ground(const GroundProgram& gp, const SolveOptions& opts) {
     return result;
   }
   result.sat = true;
-  Model best = snapshot_model(*tr);
+  std::vector<bool> best_bits = tr->solver().model();
+  std::vector<std::pair<std::int64_t, std::int64_t>> best_costs;
 
   // Collect distinct priorities, highest first.
   std::vector<std::int64_t> priorities;
@@ -254,7 +260,7 @@ SolveResult solve_ground(const GroundProgram& gp, const SolveOptions& opts) {
         tr->solver().add_clause({sat::negate(guard)}, tr->opt_bound_origin());
         if (res == sat::Solver::Result::Unsat) break;
         best_cost = tr->eval_cost(prio);
-        best = snapshot_model(*tr);
+        best_bits = tr->solver().model();
         if (emit) {
           SolveEvent ev;
           ev.kind = SolveEvent::Kind::BoundImproved;
@@ -279,16 +285,17 @@ SolveResult solve_ground(const GroundProgram& gp, const SolveOptions& opts) {
                                tr->opt_bound_origin());
       }
     }
-    best.costs = fixed_bounds;
+    best_costs = std::move(fixed_bounds);
   } else {
     for (std::int64_t prio : priorities) {
-      best.costs.emplace_back(prio, tr->eval_cost(prio));
+      best_costs.emplace_back(prio, tr->eval_cost(prio));
     }
   }
 
   finish_stats(*tr);
   capture_profile(*tr);
-  result.model = std::move(best);
+  result.model = model_of(best_bits);
+  result.model.costs = std::move(best_costs);
   span.attr("sat", true);
   span.attr("conflicts", result.stats.conflicts);
   span.attr("decisions", result.stats.decisions);

@@ -15,13 +15,14 @@ Translation::Translation(const GroundProgram& gp, bool guard_constraints,
 }
 
 /// Define `v <-> conjunction(lits)`.
-void Translation::define_and(Var v, const std::vector<Lit>& lits) {
-  std::vector<Lit> back{sat::mk_lit(v, true)};
+void Translation::define_and(Var v, std::span<const Lit> lits) {
+  std::vector<Lit>& back = clause_tmp_;
+  back.assign(1, sat::mk_lit(v, true));
   for (Lit l : lits) {
     solver_->add_clause({sat::mk_lit(v, false), l}, cur_origin_);
     back.push_back(sat::negate(l));
   }
-  solver_->add_clause(std::move(back), cur_origin_);
+  solver_->add_clause(back, cur_origin_);
 }
 
 Lit Translation::new_guard(GuardTarget target) {
@@ -29,6 +30,71 @@ Lit Translation::new_guard(GuardTarget target) {
   guards_.push_back(g);
   guard_targets_.push_back(target);
   return g;
+}
+
+void Translation::reserve(const std::vector<bool>& is_fact) {
+  const std::size_t n = gp_.num_atoms();
+  supports_ = AtomLists<Lit>(n);
+  choice_supports_ = AtomLists<ChoiceSupport>(n);
+  rules_by_head_ = AtomLists<std::uint32_t>(n);
+  // Variables as build() creates them, and the clauses of two or more
+  // literals it adds before level-0 simplification (units are not stored),
+  // with their literals.
+  std::size_t vars = 1 + n + gp_.minimize.size();
+  std::size_t clauses = 0, lits = 0;
+  std::size_t deps = 0;
+  auto clause = [&](std::size_t size) {
+    if (size >= 2) {
+      ++clauses;
+      lits += size;
+    }
+  };
+  auto conjunction = [&](std::size_t size) {  // define_and over `size` lits
+    ++vars;
+    clauses += size + 1;
+    lits += 3 * size + 1;
+  };
+  for (const GRule& r : gp_.rules) {
+    if (!r.has_head) {
+      clause(r.body.size() + (guard_constraints_ ? 1 : 0));
+      vars += guard_constraints_ ? 1 : 0;
+      continue;
+    }
+    if (r.body.size() >= 2) conjunction(r.body.size());
+    clause(2);
+    supports_.count(r.head);
+    rules_by_head_.count(r.head);
+  }
+  for (const GChoice& c : gp_.choices) {
+    if (c.body.size() >= 2) conjunction(c.body.size());
+    std::size_t body_deps = 0;
+    for (const GLit& l : c.body) body_deps += l.positive ? 1 : 0;
+    for (const GChoiceElem& e : c.elements) {
+      if (!e.condition.empty()) conjunction(1 + e.condition.size());
+      conjunction(2);
+      supports_.count(e.atom);
+      choice_supports_.count(e.atom);
+      deps += body_deps;
+      for (const GLit& l : e.condition) deps += l.positive ? 1 : 0;
+    }
+    if (guard_constraints_) vars += 2;
+    if (c.lower && *c.lower == 1) {
+      clause(1 + c.elements.size() + (guard_constraints_ ? 1 : 0));
+    }
+  }
+  for (AtomId a = 0; a < n; ++a) {
+    if (!is_fact[a]) clause(1 + supports_.counted(a));
+  }
+  for (const GMinTerm& m : gp_.minimize) {
+    for (const auto& cond : m.conditions) clause(1 + cond.size());
+  }
+  supports_.start_placing();
+  choice_supports_.start_placing();
+  rules_by_head_.start_placing();
+  choice_deps_.reserve(deps);
+  // Headroom for the optimization driver's bound guards, one per probe.
+  constexpr std::size_t kGuardHeadroom = 32;
+  solver_->reserve(vars + kGuardHeadroom, clauses, lits);
 }
 
 void Translation::build() {
@@ -41,6 +107,10 @@ void Translation::build() {
     loop_origin_ = tag(ClauseOriginMap::Kind::LoopNogood);
     opt_origin_ = tag(ClauseOriginMap::Kind::OptBound);
   }
+  std::vector<bool> is_fact(gp_.num_atoms(), false);
+  for (AtomId a : gp_.facts) is_fact[a] = true;
+  reserve(is_fact);
+
   // Constant-true variable simplifies empty bodies/conditions.
   true_var_ = solver_->new_var();
   solver_->add_clause({sat::mk_lit(true_var_, true)}, cur_origin_);
@@ -48,14 +118,9 @@ void Translation::build() {
   atom_var_.resize(gp_.num_atoms());
   for (AtomId a = 0; a < gp_.num_atoms(); ++a) atom_var_[a] = solver_->new_var();
 
-  supports_.assign(gp_.num_atoms(), {});
-  choice_supports_.assign(gp_.num_atoms(), {});
-  rules_by_head_.assign(gp_.num_atoms(), {});
   const sat::Origin internal_origin = cur_origin_;
   if (origins_) cur_origin_ = tag(ClauseOriginMap::Kind::Fact);
-  std::vector<bool> is_fact(gp_.num_atoms(), false);
   for (AtomId a : gp_.facts) {
-    is_fact[a] = true;
     solver_->add_clause({atom_lit(a, true)}, cur_origin_);
   }
 
@@ -70,7 +135,8 @@ void Translation::build() {
     if (!r.has_head) {
       // Integrity constraint: not all body literals may hold.  In guarded
       // mode the clause carries !g, so it binds only while g is assumed.
-      std::vector<Lit> clause;
+      std::vector<Lit>& clause = clause_tmp_;
+      clause.clear();
       if (guard_constraints_) {
         clause.push_back(sat::negate(
             new_guard({GuardTarget::Kind::Constraint, ri})));
@@ -80,7 +146,7 @@ void Translation::build() {
         // ":- ." style absurdity; force UNSAT.
         solver_->add_clause({sat::mk_lit(true_var_, false)}, internal_origin);
       } else {
-        solver_->add_clause(std::move(clause), cur_origin_);
+        solver_->add_clause(clause, cur_origin_);
       }
       body_lit_[ri] = sat::mk_lit(true_var_, true);  // unused
       continue;
@@ -88,8 +154,8 @@ void Translation::build() {
     Lit b = make_body(r.body);
     body_lit_[ri] = b;
     solver_->add_clause({sat::negate(b), atom_lit(r.head, true)}, cur_origin_);
-    supports_[r.head].push_back(b);
-    rules_by_head_[r.head].push_back(ri);
+    supports_.place(r.head, b);
+    rules_by_head_.place(r.head, static_cast<std::uint32_t>(ri));
   }
 
   // Choice rules.
@@ -107,24 +173,29 @@ void Translation::build() {
       if (e.condition.empty()) {
         elig = b;
       } else {
-        std::vector<Lit> conj{b};
+        std::vector<Lit>& conj = body_tmp_;
+        conj.assign(1, b);
         for (const GLit& l : e.condition) conj.push_back(glit(l));
         Var ev = solver_->new_var();
         define_and(ev, conj);
         elig = sat::mk_lit(ev, true);
       }
-      supports_[e.atom].push_back(elig);
-      std::vector<AtomId> deps;
+      supports_.place(e.atom, elig);
+      ChoiceSupport cs;
+      cs.elig = elig;
+      cs.deps_begin = static_cast<std::uint32_t>(choice_deps_.size());
       for (const GLit& l : c.body) {
-        if (l.positive) deps.push_back(l.atom);
+        if (l.positive) choice_deps_.push_back(l.atom);
       }
       for (const GLit& l : e.condition) {
-        if (l.positive) deps.push_back(l.atom);
+        if (l.positive) choice_deps_.push_back(l.atom);
       }
-      choice_supports_[e.atom].push_back({elig, std::move(deps)});
+      cs.deps_end = static_cast<std::uint32_t>(choice_deps_.size());
+      choice_supports_.place(e.atom, cs);
       // Count literal: atom AND eligible.
       Var cv = solver_->new_var();
-      define_and(cv, {atom_lit(e.atom, true), elig});
+      const Lit count_conj[] = {atom_lit(e.atom, true), elig};
+      define_and(cv, count_conj);
       counts.push_back(sat::mk_lit(cv, true));
     }
     auto k = static_cast<std::int64_t>(counts.size());
@@ -149,14 +220,15 @@ void Translation::build() {
     }
     if (c.lower && *c.lower > 0) {
       if (*c.lower == 1) {
-        std::vector<Lit> clause;
+        std::vector<Lit>& clause = clause_tmp_;
+        clause.clear();
         if (guard_constraints_) {
           clause.push_back(sat::negate(
               new_guard({GuardTarget::Kind::ChoiceLower, ci})));
         }
         clause.push_back(sat::negate(b));
         for (Lit cl : counts) clause.push_back(cl);
-        solver_->add_clause(std::move(clause), cur_origin_);
+        solver_->add_clause(clause, cur_origin_);
       } else {
         // sum(!count) + lower*body <= k; guarded adds lower*g on the left
         // and lower on the right, so dropping the guard slackens the bound
@@ -181,9 +253,10 @@ void Translation::build() {
   for (AtomId a = 0; a < gp_.num_atoms(); ++a) {
     if (is_fact[a]) continue;
     if (origins_) cur_origin_ = tag(ClauseOriginMap::Kind::Completion, a);
-    std::vector<Lit> clause{atom_lit(a, false)};
+    std::vector<Lit>& clause = clause_tmp_;
+    clause.assign(1, atom_lit(a, false));
     for (Lit s : supports_[a]) clause.push_back(s);
-    solver_->add_clause(std::move(clause), cur_origin_);
+    solver_->add_clause(clause, cur_origin_);
   }
 
   // Minimize indicators: m true whenever any condition conjunction holds.
@@ -196,9 +269,10 @@ void Translation::build() {
     Var m = solver_->new_var();
     min_var_[i] = m;
     for (const auto& cond : gp_.minimize[i].conditions) {
-      std::vector<Lit> clause{sat::mk_lit(m, true)};
+      std::vector<Lit>& clause = clause_tmp_;
+      clause.assign(1, sat::mk_lit(m, true));
       for (const GLit& l : cond) clause.push_back(glit({l.atom, !l.positive}));
-      solver_->add_clause(std::move(clause), cur_origin_);
+      solver_->add_clause(clause, cur_origin_);
     }
   }
   cur_origin_ = sat::kNoOrigin;
@@ -250,7 +324,7 @@ std::vector<std::vector<Lit>> Translation::unfounded_nogoods() const {
       for (const ChoiceSupport& cs : choice_supports_[a]) {
         if (!lit_true(cs.elig)) continue;
         bool internal = false;
-        for (AtomId d : cs.pos_deps) {
+        for (AtomId d : pos_deps(cs)) {
           if (in_u[d]) {
             internal = true;
             break;
@@ -304,7 +378,7 @@ std::vector<std::vector<Lit>> Translation::unfounded_nogoods() const {
     }
     for (const ChoiceSupport& cs : choice_supports_[a]) {
       bool internal = false;
-      for (AtomId d : cs.pos_deps) {
+      for (AtomId d : pos_deps(cs)) {
         if (in_u[d]) {
           internal = true;
           break;
@@ -327,8 +401,8 @@ Lit Translation::make_body(const std::vector<GLit>& body) {
   if (body.empty()) return sat::mk_lit(true_var_, true);
   if (body.size() == 1) return glit(body[0]);
   Var bv = solver_->new_var();
-  std::vector<Lit> lits;
-  lits.reserve(body.size());
+  std::vector<Lit>& lits = body_tmp_;
+  lits.clear();
   for (const GLit& l : body) lits.push_back(glit(l));
   define_and(bv, lits);
   return sat::mk_lit(bv, true);
@@ -342,23 +416,28 @@ Lit Translation::make_body(const std::vector<GLit>& body) {
 void Translation::compute_sccs() {
   std::size_t n = gp_.num_atoms();
   scc_nontrivial_.assign(n, false);
-  std::vector<std::vector<AtomId>> edges(n);  // head -> positive body atoms
+  AtomLists<AtomId> edges(n);  // head -> positive body atoms
   std::vector<bool> self_loop(n, false);
-  auto add_edge = [&](AtomId head, AtomId dep) {
-    if (dep == head) self_loop[head] = true;
-    edges[head].push_back(dep);
+  // Two passes over the same edges: count, then place.
+  auto for_each_edge = [&](auto&& add) {
+    for (const GRule& r : gp_.rules) {
+      if (!r.has_head) continue;
+      for (const GLit& l : r.body) {
+        if (l.positive) add(r.head, l.atom);
+      }
+    }
+    for (AtomId a = 0; a < n; ++a) {
+      for (const ChoiceSupport& cs : choice_supports_[a]) {
+        for (AtomId d : pos_deps(cs)) add(a, d);
+      }
+    }
   };
-  for (const GRule& r : gp_.rules) {
-    if (!r.has_head) continue;
-    for (const GLit& l : r.body) {
-      if (l.positive) add_edge(r.head, l.atom);
-    }
-  }
-  for (AtomId a = 0; a < n; ++a) {
-    for (const ChoiceSupport& cs : choice_supports_[a]) {
-      for (AtomId d : cs.pos_deps) add_edge(a, d);
-    }
-  }
+  for_each_edge([&](AtomId head, AtomId) { edges.count(head); });
+  edges.start_placing();
+  for_each_edge([&](AtomId head, AtomId dep) {
+    if (dep == head) self_loop[head] = true;
+    edges.place(head, dep);
+  });
   // Iterative Tarjan.
   std::vector<int> index(n, -1), low(n, 0);
   std::vector<bool> on_stack(n, false);
@@ -368,9 +447,10 @@ void Translation::compute_sccs() {
     AtomId v;
     std::size_t child;
   };
+  std::vector<Frame> frames;  // empty between roots; reused
   for (AtomId root = 0; root < n; ++root) {
     if (index[root] != -1) continue;
-    std::vector<Frame> frames{{root, 0}};
+    frames.push_back({root, 0});
     index[root] = low[root] = next_index++;
     stack.push_back(root);
     on_stack[root] = true;
@@ -388,20 +468,18 @@ void Translation::compute_sccs() {
         }
       } else {
         if (low[f.v] == index[f.v]) {
-          std::vector<AtomId> comp;
-          while (true) {
-            AtomId w = stack.back();
-            stack.pop_back();
-            on_stack[w] = false;
-            comp.push_back(w);
-            if (w == f.v) break;
+          // The component is the stack's suffix from f.v up.
+          std::size_t first = stack.size();
+          do {
+            --first;
+          } while (stack[first] != f.v);
+          bool nontrivial = stack.size() - first > 1 || self_loop[f.v];
+          for (std::size_t k = first; k < stack.size(); ++k) {
+            on_stack[stack[k]] = false;
+            if (nontrivial) scc_nontrivial_[stack[k]] = true;
           }
-          if (comp.size() > 1 || self_loop[comp[0]]) {
-            for (AtomId w : comp) {
-              scc_nontrivial_[w] = true;
-              tight_ = false;
-            }
-          }
+          if (nontrivial) tight_ = false;
+          stack.resize(first);
         }
         AtomId done = f.v;
         frames.pop_back();

@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -25,6 +26,34 @@ struct GuardTarget {
   enum class Kind : std::uint8_t { Constraint, ChoiceLower, ChoiceUpper };
   Kind kind;
   std::size_t index;
+};
+
+/// Per-atom lists in one flat array (CSR): atom a's entries are
+/// items[first[a], first[a + 1]).  Filled in two passes: count() every
+/// entry, then place() them in emission order, so each list keeps the order
+/// its entries were placed in.
+template <typename T>
+class AtomLists {
+ public:
+  explicit AtomLists(std::size_t atoms = 0) : first_(atoms + 2, 0) {}
+  void count(AtomId a) { ++first_[a + 2]; }
+  /// Entries counted for atom a so far (before start_placing only).
+  std::uint32_t counted(AtomId a) const { return first_[a + 2]; }
+  /// Ends counting.  Afterwards first_[a + 1] is atom a's next free slot;
+  /// once every entry is placed it is atom a's end, i.e. atom a+1's start.
+  void start_placing() {
+    for (std::size_t i = 1; i < first_.size(); ++i) first_[i] += first_[i - 1];
+    items_.resize(first_.back());
+    first_.pop_back();
+  }
+  void place(AtomId a, T item) { items_[first_[a + 1]++] = std::move(item); }
+  std::span<const T> operator[](AtomId a) const {
+    return {items_.data() + first_[a], items_.data() + first_[a + 1]};
+  }
+
+ private:
+  std::vector<std::uint32_t> first_;
+  std::vector<T> items_;
 };
 
 /// One SAT translation of a ground program.  Built once per solve: the
@@ -59,6 +88,10 @@ class Translation {
   sat::Lit glit(const GLit& l) const { return atom_lit(l.atom, l.positive); }
 
   bool model_atom(AtomId a) const { return solver_->model_value(atom_var_[a]); }
+  /// Atom a's value in a copy of the solver's model bits.
+  bool model_atom(const std::vector<bool>& bits, AtomId a) const {
+    return bits[atom_var_[a]];
+  }
 
   bool model_body(const std::vector<GLit>& body) const {
     for (const GLit& l : body) {
@@ -102,7 +135,9 @@ class Translation {
     return solver_->model_value(sat::var_of(l)) == sat::is_pos(l);
   }
 
-  void define_and(sat::Var v, const std::vector<sat::Lit>& lits);
+  void define_and(sat::Var v, std::span<const sat::Lit> lits);
+  /// Size the solver and the per-atom lists from the ground program.
+  void reserve(const std::vector<bool>& is_fact);
   void build();
   sat::Lit make_body(const std::vector<GLit>& body);
   sat::Lit new_guard(GuardTarget target);
@@ -129,19 +164,29 @@ class Translation {
   sat::Origin opt_origin_ = sat::kNoOrigin;
 
   /// Choice-rule support for an atom: the eligibility literal plus the
-  /// positive atoms it depends on (choice body and element condition).  The
-  /// dependencies matter for unfounded-set reasoning — an eligible choice
-  /// only justifies its atom when that eligibility is itself externally
-  /// supported.
+  /// positive atoms it depends on (choice body and element condition), held
+  /// as choice_deps_[deps_begin, deps_end).  The dependencies matter for
+  /// unfounded-set reasoning — an eligible choice only justifies its atom
+  /// when that eligibility is itself externally supported.
   struct ChoiceSupport {
-    sat::Lit elig;
-    std::vector<AtomId> pos_deps;
+    sat::Lit elig = 0;
+    std::uint32_t deps_begin = 0;
+    std::uint32_t deps_end = 0;
   };
+  std::span<const AtomId> pos_deps(const ChoiceSupport& cs) const {
+    return {choice_deps_.data() + cs.deps_begin,
+            choice_deps_.data() + cs.deps_end};
+  }
 
-  std::vector<sat::Lit> body_lit_;               // per rule index
-  std::vector<std::vector<sat::Lit>> supports_;  // per atom
-  std::vector<std::vector<ChoiceSupport>> choice_supports_;  // per atom
-  std::vector<std::vector<std::size_t>> rules_by_head_;
+  std::vector<sat::Lit> body_lit_;                // per rule index
+  AtomLists<sat::Lit> supports_;                  // per atom
+  AtomLists<ChoiceSupport> choice_supports_;      // per atom
+  std::vector<AtomId> choice_deps_;               // see ChoiceSupport
+  AtomLists<std::uint32_t> rules_by_head_;        // rule indexes per head
+  // Scratch clauses: make_body's conjunction, and the clause being built
+  // (define_and's back clause, constraints, completion, minimize).
+  std::vector<sat::Lit> body_tmp_;
+  std::vector<sat::Lit> clause_tmp_;
   std::vector<sat::Var> min_var_;
   std::vector<sat::Lit> guards_;
   std::vector<GuardTarget> guard_targets_;

@@ -745,24 +745,66 @@ std::shared_ptr<const Concretizer::CompileCache> Concretizer::ensure_cache(
     return full_cache_locked();
   }
   trace::Span span("prune", "concretize");
+  trace::MetricsRegistry& m = trace::Tracer::global().metrics();
+  auto record = [&](std::size_t kept, std::size_t total) {
+    span.attr("kept", kept);
+    span.attr("total", total);
+    m.add("concretize/prune_kept", static_cast<std::int64_t>(kept));
+    m.add("concretize/prune_dropped", static_cast<std::int64_t>(total - kept));
+  };
+  std::string key;
+  for (const Request& r : requests) {
+    if (!key.empty()) key += '\n';
+    key += r.root.str();
+  }
+
+  // A request set seen before needs no walk while its slice is cached (or
+  // nothing was pruned); an evicted slice walks again.
+  static constexpr std::size_t kMaxSliceCaches = 64;
+  static constexpr std::size_t kMaxSliceMemo = 4096;
+  std::optional<std::pair<std::size_t, std::size_t>> hit;  // kept, total
+  std::shared_ptr<const CompileCache> cached;  // null: the full cache
+  {
+    std::scoped_lock lock(cache_mu_);
+    if (auto it = slice_memo_.find(key); it != slice_memo_.end()) {
+      const SliceMemo& memo = it->second;
+      if (memo.kept == memo.total) {
+        hit.emplace(memo.kept, memo.total);
+      } else if (auto sc = slice_caches_.find(memo.fingerprint);
+                 sc != slice_caches_.end()) {
+        hit.emplace(memo.kept, memo.total);
+        cached = sc->second;
+      }
+    }
+  }
+  if (hit) {
+    record(hit->first, hit->second);
+    if (!cached) return full_cache_locked();
+    m.add("concretize/slice_cache_hits");
+    return cached;
+  }
+
   reach::Slice slice =
       reach::slice_reusable(repo_, reusable_, reusable_edges_, requests);
-  span.attr("kept", slice.keep.size());
-  span.attr("total", slice.total);
-  trace::MetricsRegistry& m = trace::Tracer::global().metrics();
-  m.add("concretize/prune_kept", static_cast<std::int64_t>(slice.keep.size()));
-  m.add("concretize/prune_dropped",
-        static_cast<std::int64_t>(slice.total - slice.keep.size()));
+  record(slice.keep.size(), slice.total);
+  auto remember = [&] {  // callers hold cache_mu_
+    if (slice_memo_.size() >= kMaxSliceMemo) slice_memo_.clear();
+    slice_memo_[key] = {slice.fingerprint, slice.keep.size(), slice.total};
+  };
   if (slice.keep.size() == slice.total) {
     // Nothing pruned: share the unpruned program instead of storing an
     // identical slice under a fingerprint.
+    {
+      std::scoped_lock lock(cache_mu_);
+      remember();
+    }
     return full_cache_locked();
   }
 
   // Cold slice builds run under the lock: concurrent batch workers hitting
   // the same fingerprint wait for one compile instead of duplicating it.
-  static constexpr std::size_t kMaxSliceCaches = 64;
   std::scoped_lock lock(cache_mu_);
+  remember();
   if (auto it = slice_caches_.find(slice.fingerprint);
       it != slice_caches_.end()) {
     m.add("concretize/slice_cache_hits");
@@ -829,6 +871,7 @@ void Concretizer::invalidate_caches() {
   full_cache_.reset();
   slice_caches_.clear();
   slice_order_.clear();
+  slice_memo_.clear();
 }
 
 void Concretizer::add_reusable(const Spec& concrete) {

@@ -32,6 +32,7 @@
 #include <set>
 #include <string>
 #include <type_traits>
+#include <unordered_map>
 #include <vector>
 
 #include "src/asp/asp.hpp"
@@ -145,6 +146,7 @@ class Concretizer {
         full_cache_(std::move(other.full_cache_)),
         slice_caches_(std::move(other.slice_caches_)),
         slice_order_(std::move(other.slice_order_)),
+        slice_memo_(std::move(other.slice_memo_)),
         cache_builds_(other.cache_builds_) {}
   Concretizer& operator=(Concretizer&&) = delete;
 
@@ -257,8 +259,10 @@ class Concretizer {
   /// The compile cache serving this request set: the full cache when
   /// pruning is off (or nothing would be pruned), otherwise the slice cache
   /// keyed by the pruned-slice fingerprint — requests with the same closure
-  /// share one compiled program.  Thread-safe; cold builds run under the
-  /// lock, which also deduplicates concurrent cold starts.
+  /// share one compiled program.  A request set seen before whose slice is
+  /// still cached skips the reachability walk (slice_memo_).  Thread-safe;
+  /// cold builds run under the lock, which also deduplicates concurrent
+  /// cold starts.
   std::shared_ptr<const CompileCache> ensure_cache(
       const std::vector<Request>& requests) const;
   std::shared_ptr<const CompileCache> full_cache_locked() const;
@@ -292,6 +296,15 @@ class Concretizer {
   mutable std::map<std::string, std::shared_ptr<const CompileCache>>
       slice_caches_;
   mutable std::vector<std::string> slice_order_;  ///< FIFO eviction order
+  /// What the reachability walk gave for a request set, keyed by its roots'
+  /// Spec::str() joined with newlines (forbidden packages do not change the
+  /// slice).  kept == total means nothing was pruned (the full cache).
+  struct SliceMemo {
+    std::string fingerprint;
+    std::size_t kept = 0;
+    std::size_t total = 0;
+  };
+  mutable std::unordered_map<std::string, SliceMemo> slice_memo_;
   mutable std::size_t cache_builds_ = 0;
 };
 

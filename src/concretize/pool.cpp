@@ -33,7 +33,6 @@ std::vector<BatchItem> ConcretizerPool::concretize_batch(
 
   std::vector<BatchItem> items(requests.size());
   std::atomic<std::size_t> remaining{requests.size()};
-  auto t0 = std::chrono::steady_clock::now();
   parallel_for_each(requests.size(), opts_.jobs, [&](std::size_t i) {
     auto req0 = std::chrono::steady_clock::now();
     BatchItem& item = items[i];
@@ -50,7 +49,6 @@ std::vector<BatchItem> ConcretizerPool::concretize_batch(
     m.set_gauge("pool/queue_depth",
                 static_cast<double>(remaining.fetch_sub(1) - 1));
   });
-  double wall = seconds_since(t0);
 
   BatchStats out;
   out.requests = requests.size();
@@ -62,13 +60,15 @@ std::vector<BatchItem> ConcretizerPool::concretize_batch(
     }
   }
   out.workers = workers;
+  span.attr("succeeded", out.succeeded);
+  span.attr("failed", out.failed);
+  // The batch's one clock: the wall time is the pool/batch span's.
+  const double wall = span.end();
   out.seconds = wall;
   out.throughput_rps =
       wall > 0 ? static_cast<double>(requests.size()) / wall : 0.0;
   m.add("pool/failed_requests", static_cast<std::int64_t>(out.failed));
   m.set_gauge("pool/throughput_rps", out.throughput_rps);
-  span.attr("succeeded", out.succeeded);
-  span.attr("failed", out.failed);
   if (stats != nullptr) *stats = out;
   return items;
 }

@@ -1,7 +1,8 @@
 // Reachability pruning of reuse candidates (DESIGN.md §15): closure and
 // slice unit tests, the pruned-vs-unpruned differential on the RADIUSS
-// workload against local and public buildcaches, slice-cache sharing, and
-// the bulk-registration invalidation contract.
+// workload against local and public buildcaches, slice-cache sharing, the
+// per-request-set slice memo, and the bulk-registration invalidation
+// contract.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,6 +16,7 @@
 #include "src/concretize/concretizer.hpp"
 #include "src/concretize/reach.hpp"
 #include "src/support/error.hpp"
+#include "src/support/trace.hpp"
 #include "src/workload/caches.hpp"
 #include "src/workload/radiuss.hpp"
 
@@ -273,6 +275,90 @@ TEST(SliceCache, NoPruneUsesSingleFullCache) {
   (void)c.concretize(Request("zlib"));
   (void)c.concretize(Request("ascent ^mpiabi"));
   EXPECT_EQ(c.compile_cache_builds(), 1u);
+}
+
+/// lib (two versions, a boolean variant) under app; the cache holds app's
+/// default stack plus lib@1.0 and lib~shared on their own.
+Repository variant_repo() {
+  Repository repo;
+  repo.add(PackageDef("lib").version("2.0").version("1.0").variant("shared",
+                                                                   true));
+  repo.add(PackageDef("app").version("1.0").depends_on("lib"));
+  repo.validate();
+  return repo;
+}
+
+std::vector<Spec> variant_cache(const Repository& repo) {
+  return {concretized(repo, "app"), concretized(repo, "lib@1.0"),
+          concretized(repo, "lib~shared")};
+}
+
+/// The answer a Concretizer that never saw another request gives.
+std::string fresh_answer(const Repository& repo, const std::vector<Spec>& cache,
+                         const std::string& text) {
+  Concretizer c(repo, splice_opts());
+  c.add_reusable_all(cache);
+  return c.concretize(Request(text)).spec.dag_hash();
+}
+
+TEST(SliceMemo, VersionAndVariantConstraintsGetTheirOwnSlices) {
+  Repository repo = variant_repo();
+  std::vector<Spec> cache = variant_cache(repo);
+  Concretizer c(repo, splice_opts());
+  c.add_reusable_all(cache);
+  // Same root, differing only in a version or a variant constraint: each
+  // keeps different lib entries, so each compiles its own slice.
+  const std::vector<std::string> texts = {"lib@1.0", "lib@2.0", "lib+shared",
+                                          "lib~shared"};
+  for (const std::string& text : texts) (void)c.concretize(Request(text));
+  EXPECT_EQ(c.compile_cache_builds(), texts.size());
+  // Repeats are memo hits: no new slice, and the answer of a fresh
+  // Concretizer.
+  for (const std::string& text : texts) {
+    SCOPED_TRACE(text);
+    EXPECT_EQ(c.concretize(Request(text)).spec.dag_hash(),
+              fresh_answer(repo, cache, text));
+  }
+  EXPECT_EQ(c.compile_cache_builds(), texts.size());
+}
+
+TEST(SliceMemo, MemoHitAnswersLikeAFreshConcretizer) {
+  Repository repo = workload::radiuss_repo(0);
+  std::vector<Spec> cache = workload::public_cache_specs(repo, 300);
+  Concretizer c(repo, splice_opts());
+  c.add_reusable_all(cache);
+  const std::vector<std::string> texts = {"hdf5 ^mpiabi", "zlib", "caliper",
+                                          "hdf5 ^mpiabi", "caliper"};
+  std::vector<std::string> first;
+  for (const std::string& text : texts) {
+    first.push_back(c.concretize(Request(text)).spec.dag_hash());
+  }
+  std::size_t builds = c.compile_cache_builds();
+  for (std::size_t i = 0; i < texts.size(); ++i) {
+    SCOPED_TRACE(texts[i]);
+    EXPECT_EQ(c.concretize(Request(texts[i])).spec.dag_hash(), first[i]);
+    EXPECT_EQ(first[i], fresh_answer(repo, cache, texts[i]));
+  }
+  EXPECT_EQ(c.compile_cache_builds(), builds);
+}
+
+TEST(SliceMemo, AddReusableDropsTheMemo) {
+  Repository repo = diamond_repo();
+  Concretizer c(repo, splice_opts());
+  c.add_reusable(concretized(repo, "app"));
+  trace::MetricsRegistry& m = trace::Tracer::global().metrics();
+  // Nothing to prune yet: the memo remembers "full cache" for app.
+  std::int64_t dropped = m.counter("concretize/prune_dropped");
+  (void)c.concretize(Request("app"));
+  (void)c.concretize(Request("app"));
+  EXPECT_EQ(m.counter("concretize/prune_dropped"), dropped);
+  // An unreachable registration makes app's request prunable; a memo that
+  // survived add_reusable would still report nothing dropped.
+  c.add_reusable(concretized(repo, "orphan"));
+  (void)c.concretize(Request("app"));
+  EXPECT_EQ(m.counter("concretize/prune_dropped"), dropped + 1);
+  (void)c.concretize(Request("app"));
+  EXPECT_EQ(m.counter("concretize/prune_dropped"), dropped + 2);
 }
 
 TEST(BulkRegistration, OneInvalidationPerBatch) {

@@ -5,6 +5,7 @@
 
 #include "src/concretize/concretizer.hpp"
 #include "src/support/error.hpp"
+#include "src/support/flight.hpp"
 #include "src/workload/caches.hpp"
 #include "src/workload/radiuss.hpp"
 
@@ -31,19 +32,40 @@ std::string join_sorted(std::vector<std::string> items) {
   return out;
 }
 
-}  // namespace
+/// Every RADIUSS root, plain and `^mpiabi`.
+std::vector<std::string> requests() {
+  std::vector<std::string> out;
+  for (const std::string& root : workload::radiuss_roots()) {
+    out.push_back(root);
+    out.push_back(root + " ^mpiabi");
+  }
+  return out;
+}
 
-std::string render(const Config& config) {
-  repo::Repository repo = workload::radiuss_repo(0);
+std::vector<spec::Spec> cache_of(const repo::Repository& repo,
+                                 const Config& config) {
+  return config.public_cache ? workload::public_cache_specs(repo, 2000)
+                             : workload::local_cache_specs(repo);
+}
+
+concretize::Concretizer concretizer_of(const repo::Repository& repo,
+                                       const Config& config,
+                                       const std::vector<spec::Spec>& cache) {
   concretize::ConcretizerOptions opts;
   opts.encoding = config.direct ? concretize::ReuseEncoding::Direct
                                 : concretize::ReuseEncoding::Indirect;
   opts.enable_splicing = config.splicing;
   concretize::Concretizer c(repo, opts);
-  std::vector<spec::Spec> cache = config.public_cache
-                                      ? workload::public_cache_specs(repo, 2000)
-                                      : workload::local_cache_specs(repo);
   c.add_reusable_all(cache);
+  return c;
+}
+
+}  // namespace
+
+std::string render(const Config& config) {
+  repo::Repository repo = workload::radiuss_repo(0);
+  std::vector<spec::Spec> cache = cache_of(repo, config);
+  concretize::Concretizer c = concretizer_of(repo, config, cache);
   std::set<std::string> cached;  // "name/hash" of every cached node
   for (const spec::Spec& s : cache) {
     for (const auto& n : s.nodes()) cached.insert(n.name + "/" + n.hash);
@@ -80,6 +102,41 @@ std::string render(const Config& config) {
       }
       out += "\n\n";
     }
+  }
+  return out;
+}
+
+std::vector<Config> search_configs() {
+  std::vector<Config> out;
+  for (const Config& config : configs()) {
+    if (config.splicing) out.push_back(config);
+  }
+  return out;
+}
+
+std::string render_search(const Config& config) {
+  repo::Repository repo = workload::radiuss_repo(0);
+  concretize::Concretizer c = concretizer_of(repo, config, cache_of(repo, config));
+  flight::Recorder& recorder = flight::Recorder::global();
+  std::string out;
+  for (const std::string& text : requests()) {
+    concretize::Request request(text);
+    try {
+      c.concretize(request);
+    } catch (const UnsatisfiableError&) {
+    }
+    std::vector<flight::RequestAccount> accounts = recorder.requests();
+    if (accounts.empty() || accounts.back().text != request.root.str()) {
+      throw Error("render_search: no flight account for " + text);
+    }
+    const flight::Rollup& r = accounts.back().rollup;
+    out += text + ":";
+    for (std::uint64_t n : {r.sat_vars, r.sat_clauses, r.decisions,
+                            r.conflicts, r.propagations, r.models,
+                            r.loop_nogoods, r.ground_rules, r.ground_atoms}) {
+      out += " " + std::to_string(n);
+    }
+    out += "\n";
   }
   return out;
 }

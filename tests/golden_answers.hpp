@@ -35,4 +35,19 @@ const std::vector<Config>& configs();
 /// to be a cached build of the parent (else the splice renders `!uncached`).
 std::string render(const Config& config);
 
+/// The configurations the search golden covers: local-splice and
+/// public2000-splice.
+std::vector<Config> search_configs();
+
+/// One line per request, in the order render() visits them:
+///
+///   <request>: sat_vars sat_clauses decisions conflicts propagations
+///              models_enumerated loop_nogoods ground_rules ground_atoms
+///
+/// (one line, taken from the request's flight rollup, so unsatisfiable
+/// requests report their refutation too).  Equal lines mean the SAT
+/// translation and the CDCL search were the same, not just the answer: the
+/// committed tests/golden/search-*.txt pin the search itself.
+std::string render_search(const Config& config);
+
 }  // namespace splice::golden
