@@ -4,7 +4,7 @@
 // with profiling off, so bench_diff can watch both the enabled cost and
 // the disabled-overhead contract cheaply in CI.  (The authoritative
 // disabled-overhead measurement is the interleaved A/B of
-// bench/run_profile_ab.sh against the pre-profiler tree.)
+// `bench/run_asp_core_ab.sh profile` against the pre-profiler tree.)
 #include <benchmark/benchmark.h>
 
 #include <string>

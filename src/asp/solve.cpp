@@ -208,7 +208,6 @@ SolveResult solve_ground(const GroundProgram& gp, const SolveOptions& opts) {
   }
   result.sat = true;
   std::vector<bool> best_bits = tr->solver().model();
-  std::vector<std::pair<std::int64_t, std::int64_t>> best_costs;
 
   // Collect distinct priorities, highest first.
   std::vector<std::int64_t> priorities;
@@ -220,82 +219,69 @@ SolveResult solve_ground(const GroundProgram& gp, const SolveOptions& opts) {
   }
   std::sort(priorities.rbegin(), priorities.rend());
 
-  if (opts.optimize && !priorities.empty()) {
-    // Lexicographic branch-and-bound over one persistent solver.  Tentative
-    // bounds are guard-activated PB constraints:
-    //
-    //   sum(w_i x_i) + (W - B) g  <=  W      (W = total level weight)
-    //
-    // which enforces sum <= B exactly when the guard g is assumed true and
-    // is vacuous otherwise.  Solving under the assumption {g} probes the
-    // bound; afterwards the unit clause {!g} retires the constraint for
-    // good.  Learned clauses mentioning g all contain !g (g is a decision,
-    // so conflict analysis cannot resolve it away), so they are satisfied —
-    // not lost — once g is retired; everything else the solver learned
-    // stays valid across bounds *and* across priority levels.
-    for (std::int64_t prio : priorities) {
-      trace::Span level_span("optimize_level", "asp");
-      level_span.attr("priority", prio);
-      // The optimum model of the previous level persists in the solver's
-      // model snapshot (Unsat-under-assumption does not clear it).
-      std::int64_t best_cost = tr->eval_cost(prio);
-      auto terms = tr->objective_terms(prio);
-      std::int64_t total_weight = 0;
-      for (const auto& [l, w] : terms) total_weight += w;
-      // Tighten within this level until the bound probe comes back UNSAT.
-      bool level_open = best_cost > 0;
-      while (level_open) {
-        if (opts.max_models && result.stats.models_enumerated >= opts.max_models) {
-          level_open = false;
-          break;
-        }
-        Lit guard = sat::mk_lit(tr->solver().new_var(), true);
-        auto bounded = terms;
-        bounded.emplace_back(guard, total_weight - (best_cost - 1));
-        if (!tr->solver().add_pb_le(std::move(bounded), total_weight,
-                                    tr->opt_bound_origin())) {
-          break;  // database already contradicts any tighter bound
-        }
-        auto res = solve_stable(*tr, {guard}, result.stats, emit);
-        tr->solver().add_clause({sat::negate(guard)}, tr->opt_bound_origin());
-        if (res == sat::Solver::Result::Unsat) break;
-        best_cost = tr->eval_cost(prio);
-        best_bits = tr->solver().model();
-        if (emit) {
-          SolveEvent ev;
-          ev.kind = SolveEvent::Kind::BoundImproved;
-          ev.priority = prio;
-          ev.cost = best_cost;
-          emit(ev);
-        }
-        if (best_cost == 0) level_open = false;
+  // Lexicographic branch-and-bound over one persistent solver.  Tentative
+  // bounds are guard-activated PB constraints:
+  //
+  //   sum(w_i x_i) + (W - B) g  <=  W      (W = total level weight)
+  //
+  // which enforces sum <= B exactly when the guard g is assumed true and
+  // is vacuous otherwise.  Solving under the assumption {g} probes the
+  // bound; afterwards the unit clause {!g} retires the constraint for
+  // good.  Learned clauses mentioning g all contain !g (g is a decision,
+  // so conflict analysis cannot resolve it away), so they are satisfied —
+  // not lost — once g is retired; everything else the solver learned
+  // stays valid across bounds *and* across priority levels.
+  for (std::int64_t prio : priorities) {
+    trace::Span level_span("optimize_level", "asp");
+    level_span.attr("priority", prio);
+    // The optimum model of the previous level persists in the solver's
+    // model snapshot (Unsat-under-assumption does not clear it).
+    std::int64_t best_cost = tr->eval_cost(prio);
+    auto terms = tr->objective_terms(prio);
+    std::int64_t total_weight = 0;
+    for (const auto& [l, w] : terms) total_weight += w;
+    // Tighten within this level until the bound probe comes back UNSAT.
+    while (best_cost > 0) {
+      Lit guard = sat::mk_lit(tr->solver().new_var(), true);
+      auto bounded = terms;
+      bounded.emplace_back(guard, total_weight - (best_cost - 1));
+      if (!tr->solver().add_pb_le(std::move(bounded), total_weight,
+                                  tr->opt_bound_origin())) {
+        break;  // database already contradicts any tighter bound
       }
-      fixed_bounds.emplace_back(prio, best_cost);
+      auto res = solve_stable(*tr, {guard}, result.stats, emit);
+      tr->solver().add_clause({sat::negate(guard)}, tr->opt_bound_origin());
+      if (res == sat::Solver::Result::Unsat) break;
+      best_cost = tr->eval_cost(prio);
+      best_bits = tr->solver().model();
       if (emit) {
         SolveEvent ev;
-        ev.kind = SolveEvent::Kind::LevelDone;
+        ev.kind = SolveEvent::Kind::BoundImproved;
         ev.priority = prio;
         ev.cost = best_cost;
         emit(ev);
       }
-      level_span.attr("cost", best_cost);
-      // Pin this level's optimum permanently before descending.
-      if (prio != priorities.back()) {
-        tr->solver().add_pb_le(std::move(terms), best_cost,
-                               tr->opt_bound_origin());
-      }
     }
-    best_costs = std::move(fixed_bounds);
-  } else {
-    for (std::int64_t prio : priorities) {
-      best_costs.emplace_back(prio, tr->eval_cost(prio));
+    fixed_bounds.emplace_back(prio, best_cost);
+    if (emit) {
+      SolveEvent ev;
+      ev.kind = SolveEvent::Kind::LevelDone;
+      ev.priority = prio;
+      ev.cost = best_cost;
+      emit(ev);
+    }
+    level_span.attr("cost", best_cost);
+    // Pin this level's optimum permanently before descending.
+    if (prio != priorities.back()) {
+      tr->solver().add_pb_le(std::move(terms), best_cost,
+                             tr->opt_bound_origin());
     }
   }
 
   finish_stats(*tr);
   capture_profile(*tr);
   result.model = model_of(best_bits);
-  result.model.costs = std::move(best_costs);
+  result.model.costs = std::move(fixed_bounds);
   span.attr("sat", true);
   span.attr("conflicts", result.stats.conflicts);
   span.attr("decisions", result.stats.decisions);

@@ -97,11 +97,6 @@ struct SolveResult {
 };
 
 struct SolveOptions {
-  /// Upper bound on candidate models during optimization, as a safety net
-  /// against pathological bound chases.  0 = unlimited.
-  std::uint64_t max_models = 0;
-  /// Skip optimization: return the first stable model.
-  bool optimize = true;
   /// Tag every SAT clause with its origin and accumulate per-origin /
   /// per-source-rule cost into SolveResult::profile.  Pair with
   /// GroundOptions::profile + record_provenance for directive attribution.

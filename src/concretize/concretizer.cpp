@@ -6,6 +6,7 @@
 #include <optional>
 #include <set>
 #include <string_view>
+#include <tuple>
 #include <utility>
 
 #include "src/concretize/reach.hpp"
@@ -663,24 +664,50 @@ class Concretizer::Compiler {
 
 // ---- Concretizer ------------------------------------------------------------
 
+namespace {
+
+/// The slice-cache key of the unpruned program.  Slice fingerprints are hex
+/// digests, so it never names a pruned slice.
+constexpr std::string_view kKeepAll = "all";
+
+/// A reachability walk's outcome, on its prune span and the prune counters.
+void record_prune(trace::Span& span, std::size_t kept, std::size_t total) {
+  trace::MetricsRegistry& m = trace::Tracer::global().metrics();
+  span.attr("kept", kept);
+  span.attr("total", total);
+  m.add("concretize/prune_kept", static_cast<std::int64_t>(kept));
+  m.add("concretize/prune_dropped", static_cast<std::int64_t>(total - kept));
+}
+
+}  // namespace
+
 asp::Program Concretizer::compile_program(
     const std::vector<Request>& requests) const {
-  std::shared_ptr<const CompileCache> cache = ensure_cache(requests);
   std::size_t request_at = 0;
-  Program program = base_program(requests, &request_at);
-  program.extend(Compiler(repo_, opts_, reusable_, *cache).compile(requests));
+  auto [program, request_program] = compile_fresh(requests, &request_at);
+  program.extend(request_program);
   return program;
 }
 
-asp::Program Concretizer::base_program(const std::vector<Request>& requests,
-                                       std::size_t* request_at) const {
+std::pair<Program, Program> Concretizer::compile_fresh(
+    const std::vector<Request>& requests, std::size_t* request_at) const {
   std::optional<reach::Slice> slice;
-  if (opts_.prune_reuse && !reusable_.empty() && !requests.empty()) {
+  if (prunes(requests)) {
+    trace::Span span("prune", "concretize");
     slice = reach::slice_reusable(repo_, reusable_, reusable_edges_, requests);
+    record_prune(span, slice->keep.size(), slice->total);
     if (slice->keep.size() == slice->total) slice.reset();
   }
-  return Compiler(repo_, opts_, reusable_, slice ? &slice->keep : nullptr)
-      .compile_base(request_at);
+  // The request compiles against the state compile_base leaves, which is
+  // what a slice cache would have copied.
+  Compiler c(repo_, opts_, reusable_, slice ? &slice->keep : nullptr);
+  Program base = c.compile_base(request_at);
+  Program request_program = c.compile(requests);
+  return {std::move(base), std::move(request_program)};
+}
+
+bool Concretizer::prunes(const std::vector<Request>& requests) const {
+  return opts_.prune_reuse && !reusable_.empty() && !requests.empty();
 }
 
 ProfileReport Concretizer::profile(const std::vector<Request>& requests) const {
@@ -732,88 +759,62 @@ std::shared_ptr<const Concretizer::CompileCache> Concretizer::build_cache(
   return cache;
 }
 
-std::shared_ptr<const Concretizer::CompileCache>
-Concretizer::full_cache_locked() const {
-  std::scoped_lock lock(cache_mu_);
-  if (!full_cache_) full_cache_ = build_cache(nullptr);
-  return full_cache_;
-}
-
 std::shared_ptr<const Concretizer::CompileCache> Concretizer::ensure_cache(
     const std::vector<Request>& requests) const {
-  if (!opts_.prune_reuse || reusable_.empty() || requests.empty()) {
-    return full_cache_locked();
-  }
-  trace::Span span("prune", "concretize");
-  trace::MetricsRegistry& m = trace::Tracer::global().metrics();
-  auto record = [&](std::size_t kept, std::size_t total) {
-    span.attr("kept", kept);
-    span.attr("total", total);
-    m.add("concretize/prune_kept", static_cast<std::int64_t>(kept));
-    m.add("concretize/prune_dropped", static_cast<std::int64_t>(total - kept));
-  };
-  std::string key;
-  for (const Request& r : requests) {
-    if (!key.empty()) key += '\n';
-    key += r.root.str();
-  }
-
-  // A request set seen before needs no walk while its slice is cached (or
-  // nothing was pruned); an evicted slice walks again.
   static constexpr std::size_t kMaxSliceCaches = 64;
   static constexpr std::size_t kMaxSliceMemo = 4096;
-  std::optional<std::pair<std::size_t, std::size_t>> hit;  // kept, total
-  std::shared_ptr<const CompileCache> cached;  // null: the full cache
-  {
-    std::scoped_lock lock(cache_mu_);
-    if (auto it = slice_memo_.find(key); it != slice_memo_.end()) {
-      const SliceMemo& memo = it->second;
-      if (memo.kept == memo.total) {
-        hit.emplace(memo.kept, memo.total);
-      } else if (auto sc = slice_caches_.find(memo.fingerprint);
-                 sc != slice_caches_.end()) {
-        hit.emplace(memo.kept, memo.total);
-        cached = sc->second;
-      }
-    }
-  }
-  if (hit) {
-    record(hit->first, hit->second);
-    if (!cached) return full_cache_locked();
-    m.add("concretize/slice_cache_hits");
-    return cached;
-  }
-
-  reach::Slice slice =
-      reach::slice_reusable(repo_, reusable_, reusable_edges_, requests);
-  record(slice.keep.size(), slice.total);
-  auto remember = [&] {  // callers hold cache_mu_
-    if (slice_memo_.size() >= kMaxSliceMemo) slice_memo_.clear();
-    slice_memo_[key] = {slice.fingerprint, slice.keep.size(), slice.total};
-  };
-  if (slice.keep.size() == slice.total) {
-    // Nothing pruned: share the unpruned program instead of storing an
-    // identical slice under a fingerprint.
-    {
-      std::scoped_lock lock(cache_mu_);
-      remember();
-    }
-    return full_cache_locked();
-  }
-
-  // Cold slice builds run under the lock: concurrent batch workers hitting
-  // the same fingerprint wait for one compile instead of duplicating it.
-  std::scoped_lock lock(cache_mu_);
-  remember();
-  if (auto it = slice_caches_.find(slice.fingerprint);
-      it != slice_caches_.end()) {
+  trace::MetricsRegistry& m = trace::Tracer::global().metrics();
+  SliceMemo memo{std::string(kKeepAll)};  // the slice serving `requests`
+  auto lookup = [&]() -> std::shared_ptr<const CompileCache> {
+    auto it = slice_caches_.find(memo.fingerprint);  // callers hold cache_mu_
+    if (it == slice_caches_.end()) return nullptr;
     m.add("concretize/slice_cache_hits");
     return it->second;
+  };
+  const bool prune = prunes(requests);
+  std::optional<trace::Span> span;  // "prune": the walk and a cold build
+  std::string key;
+  std::optional<reach::Slice> slice;  // set when the walk pruned something
+  if (prune) {
+    span.emplace("prune", "concretize");
+    for (const Request& r : requests) {
+      if (!key.empty()) key += '\n';
+      key += r.root.str();
+    }
+    // A request set seen before needs no walk while its slice is cached; an
+    // evicted slice walks again.
+    std::shared_ptr<const CompileCache> cached;
+    {
+      std::scoped_lock lock(cache_mu_);
+      if (auto it = slice_memo_.find(key); it != slice_memo_.end()) {
+        memo = it->second;
+        cached = lookup();
+      }
+    }
+    if (cached) {
+      record_prune(*span, memo.kept, memo.total);
+      return cached;
+    }
+    slice = reach::slice_reusable(repo_, reusable_, reusable_edges_, requests);
+    memo = {slice->keep.size() == slice->total ? std::string(kKeepAll)
+                                               : slice->fingerprint,
+            slice->keep.size(), slice->total};
+    record_prune(*span, memo.kept, memo.total);
+    if (memo.kept == memo.total) slice.reset();  // the unpruned slice
   }
-  auto cache = build_cache(&slice.keep);
+
+  // Cold builds run under the lock: concurrent batch workers hitting the
+  // same fingerprint wait for one compile instead of duplicating it.
+  std::scoped_lock lock(cache_mu_);
+  if (prune) {
+    if (slice_memo_.size() >= kMaxSliceMemo) slice_memo_.clear();
+    slice_memo_[key] = memo;
+  }
+  if (auto cached = lookup()) return cached;
+  auto cache = build_cache(slice ? &slice->keep : nullptr);
   m.add("concretize/slice_cache_builds");
-  slice_caches_.emplace(slice.fingerprint, cache);
-  slice_order_.push_back(slice.fingerprint);
+  slice_caches_.emplace(memo.fingerprint, cache);
+  slice_order_.push_back(memo.fingerprint);
   if (slice_order_.size() > kMaxSliceCaches) {
     slice_caches_.erase(slice_order_.front());
     slice_order_.erase(slice_order_.begin());
@@ -868,7 +869,6 @@ void Concretizer::register_reusable(const Spec& concrete) {
 
 void Concretizer::invalidate_caches() {
   std::scoped_lock lock(cache_mu_);
-  full_cache_.reset();
   slice_caches_.clear();
   slice_order_.clear();
   slice_memo_.clear();
@@ -973,23 +973,30 @@ void Concretizer::run_pass(const std::vector<Request>& requests,
   pass.span = &span;
   std::shared_ptr<const CompileCache> cache;
   Program request_program;
-  Program base;  // profiling and explanation passes ground a fresh base
+  Program base;  // profiling and explanation passes compile a fresh base
   std::size_t request_at = 0;
   const bool fresh_base = po.profile || po.keep_ground;
   {
     // Prune and cold slice builds (base compile + base ground) are compile
     // work of the request that triggers them.
     flight::PhaseScope phase(flight::Phase::Compile, "compile", "concretize");
-    cache = ensure_cache(requests);
-    request_program = Compiler(repo_, opts_, reusable_, *cache).compile(requests);
-    if (fresh_base) base = base_program(requests, &request_at);
-    phase.attr("rules", cache->base_rules + request_program.rules().size());
+    std::size_t base_rules = 0;
+    if (fresh_base) {
+      std::tie(base, request_program) = compile_fresh(requests, &request_at);
+      base_rules = base.rules().size();
+    } else {
+      cache = ensure_cache(requests);
+      request_program =
+          Compiler(repo_, opts_, reusable_, *cache).compile(requests);
+      base_rules = cache->base_rules;
+    }
+    phase.attr("rules", base_rules + request_program.rules().size());
   }
   {
     flight::PhaseScope phase(flight::Phase::Ground, "ground", "concretize");
     if (fresh_base) {
       // Provenance and per-rule costs cover the base's instances too, so
-      // these passes ground the base afresh through the same two calls.
+      // these passes ground their own base through the same two calls.
       asp::GroundOptions gopts;
       gopts.record_provenance = true;
       gopts.profile = po.profile;

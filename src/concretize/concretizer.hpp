@@ -143,7 +143,6 @@ class Concretizer {
         opts_(std::move(other.opts_)),
         reusable_(std::move(other.reusable_)),
         reusable_edges_(std::move(other.reusable_edges_)),
-        full_cache_(std::move(other.full_cache_)),
         slice_caches_(std::move(other.slice_caches_)),
         slice_order_(std::move(other.slice_order_)),
         slice_memo_(std::move(other.slice_memo_)),
@@ -216,8 +215,9 @@ class Concretizer {
   std::size_t num_reusable() const { return reusable_.size(); }
   const ConcretizerOptions& options() const { return opts_; }
 
-  /// How many compile caches (full or pruned slices) were built so far —
-  /// the bulk-registration and slice-sharing regression tests' oracle.
+  /// How many slice caches were built so far (the unpruned program counts
+  /// as one slice) — the bulk-registration and slice-sharing regression
+  /// tests' oracle.  Diagnostic passes build none.
   std::size_t compile_cache_builds() const;
 
  public:
@@ -256,22 +256,24 @@ class Concretizer {
   void run_pass(const std::vector<Request>& requests, const PassOptions& opts,
                 const std::function<void(Pass&)>& step) const;
 
-  /// The compile cache serving this request set: the full cache when
-  /// pruning is off (or nothing would be pruned), otherwise the slice cache
-  /// keyed by the pruned-slice fingerprint — requests with the same closure
-  /// share one compiled program.  A request set seen before whose slice is
-  /// still cached skips the reachability walk (slice_memo_).  Thread-safe;
+  /// The slice cache serving this request set, keyed by the pruned-slice
+  /// fingerprint: requests with the same closure share one compiled program.
+  /// The unpruned program (pruning off, or a walk that keeps every entry) is
+  /// the slice under a reserved key.  A request set seen before whose slice
+  /// is still cached skips the reachability walk (slice_memo_).  Thread-safe;
   /// cold builds run under the lock, which also deduplicates concurrent
   /// cold starts.
   std::shared_ptr<const CompileCache> ensure_cache(
       const std::vector<Request>& requests) const;
-  std::shared_ptr<const CompileCache> full_cache_locked() const;
-  /// The base program of the slice serving `requests`, compiled afresh
-  /// (compile caches keep only its grounding); `request_at` receives the
-  /// rule index request rules take in one-shot order.
-  asp::Program base_program(const std::vector<Request>& requests,
-                            std::size_t* request_at) const;
-  /// Compile and ground one cache (the full map, or the `keep` slice);
+  /// Base and request program of a diagnostic pass, compiled by one Compiler
+  /// over the slice serving `requests` (one reachability walk, no compile
+  /// cache); `request_at` receives the rule index request rules take in
+  /// one-shot order.
+  std::pair<asp::Program, asp::Program> compile_fresh(
+      const std::vector<Request>& requests, std::size_t* request_at) const;
+  /// Whether `requests` get a reachability walk (DESIGN.md §15).
+  bool prunes(const std::vector<Request>& requests) const;
+  /// Compile and ground the slice cache of `keep` (null: every entry);
   /// callers hold cache_mu_.
   std::shared_ptr<const CompileCache> build_cache(
       const std::set<std::string>* keep) const;
@@ -288,17 +290,17 @@ class Concretizer {
   std::map<std::string, std::set<std::string>> reusable_edges_;
 
   /// Cache state, guarded by cache_mu_ for concurrent concretize() calls.
-  /// Slice caches are FIFO-bounded; any add_reusable invalidates everything
-  /// (allowed_os/allowed_target derive from the full map, so a slice keyed
-  /// only by kept hashes cannot outlive a registration).
+  /// Slice caches (the unpruned one included) are FIFO-bounded; any
+  /// add_reusable invalidates everything (allowed_os/allowed_target derive
+  /// from the full map, so a slice keyed only by kept hashes cannot outlive
+  /// a registration).
   mutable std::mutex cache_mu_;
-  mutable std::shared_ptr<const CompileCache> full_cache_;
   mutable std::map<std::string, std::shared_ptr<const CompileCache>>
       slice_caches_;
   mutable std::vector<std::string> slice_order_;  ///< FIFO eviction order
   /// What the reachability walk gave for a request set, keyed by its roots'
   /// Spec::str() joined with newlines (forbidden packages do not change the
-  /// slice).  kept == total means nothing was pruned (the full cache).
+  /// slice).  kept == total means nothing was pruned (the unpruned slice).
   struct SliceMemo {
     std::string fingerprint;
     std::size_t kept = 0;

@@ -67,10 +67,6 @@ struct SpecNode {
 
   /// The concrete version, when exactly pinned.
   std::optional<Version> concrete_version() const { return versions.concrete(); }
-
-  bool has_variant(std::string_view variant_name) const {
-    return variants.count(std::string(variant_name)) > 0;
-  }
 };
 
 /// A spec DAG.  Node 0 is the root.  Within the link-run subgraph package

@@ -277,6 +277,38 @@ TEST(SliceCache, NoPruneUsesSingleFullCache) {
   EXPECT_EQ(c.compile_cache_builds(), 1u);
 }
 
+TEST(SliceCache, WalksThatKeepEverythingShareTheUnprunedSlice) {
+  Repository repo = diamond_repo();
+  Concretizer c(repo, splice_opts(true));
+  c.add_reusable(concretized(repo, "app"));
+  // Both request sets reach every entry: two memo keys, one unpruned slice.
+  (void)c.concretize(Request("app"));
+  (void)c.concretize(Request("app ^libfoo"));
+  EXPECT_EQ(c.compile_cache_builds(), 1u);
+}
+
+/// Diagnostic passes compile base and request afresh with one Compiler:
+/// whatever they run, the slice cache stays empty until a concretize().
+TEST(SliceCache, DiagnosticPassesBuildNoSlice) {
+  Repository repo = workload::radiuss_repo(0);
+  for (bool prune : {true, false}) {
+    SCOPED_TRACE(prune ? "pruned" : "unpruned");
+    Concretizer c(repo, splice_opts(prune));
+    c.add_reusable_all(workload::local_cache_specs(repo));
+    const std::vector<Request> reqs = {Request("hdf5 ^mpiabi")};
+    (void)c.compile_program(reqs);
+    EXPECT_EQ(c.compile_cache_builds(), 0u) << "compile_program";
+    EXPECT_TRUE(c.profile(reqs).sat);
+    EXPECT_EQ(c.compile_cache_builds(), 0u) << "profile";
+    EXPECT_TRUE(c.explain_splice(reqs).sat);
+    EXPECT_EQ(c.compile_cache_builds(), 0u) << "explain_splice";
+    EXPECT_TRUE(c.explain_unsat(reqs).explanation.sat);
+    EXPECT_EQ(c.compile_cache_builds(), 0u) << "explain_unsat";
+    (void)c.concretize(reqs.front());
+    EXPECT_EQ(c.compile_cache_builds(), 1u);
+  }
+}
+
 /// lib (two versions, a boolean variant) under app; the cache holds app's
 /// default stack plus lib@1.0 and lib~shared on their own.
 Repository variant_repo() {

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <regex>
 #include <string>
 #include <vector>
@@ -14,6 +15,7 @@
 #include "src/analysis/audit.hpp"
 #include "src/support/error.hpp"
 #include "src/support/json.hpp"
+#include "src/support/trace.hpp"
 #include "src/workload/radiuss.hpp"
 #include "src/workload/synthbin.hpp"
 
@@ -235,6 +237,16 @@ TEST(Audit, RadiussWithSyntheticSurfacesIsClean) {
   EXPECT_GE(report.count(CheckId::SpliceUndeclared), 1u);
   // With a healthy repo the encoding cross-check runs for every package.
   EXPECT_EQ(report.encoding_programs, report.packages_audited);
+}
+
+TEST(Audit, EncodingCrossCheckGroundsNoBase) {
+  // The cross-check lints compiled programs: it never grounds a slice base.
+  repo::Repository repo = workload::radiuss_repo();
+  trace::MetricsRegistry& m = trace::Tracer::global().metrics();
+  std::int64_t bytes = m.counter("concretize/ground_base_bytes");
+  AuditReport report = RepoAuditor(repo).run();
+  EXPECT_GT(report.encoding_programs, 0u);
+  EXPECT_EQ(m.counter("concretize/ground_base_bytes"), bytes);
 }
 
 TEST(Audit, EncodingCheckCanBeDisabled) {
