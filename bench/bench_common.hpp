@@ -44,13 +44,9 @@ inline void warn_knob(const char* name, const char* value) {
                name, value);
 }
 
-/// A count knob, parsed strictly (splice::parse_count).
+/// A count knob, read by splice::env_count.
 inline std::size_t env_size(const char* name, std::size_t fallback) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return fallback;
-  if (std::optional<std::uint64_t> n = parse_count(v)) return *n;
-  warn_knob(name, v);
-  return fallback;
+  return static_cast<std::size_t>(env_count(name, fallback));
 }
 
 /// A comma-separated list knob; empty fields are skipped, and a list with
@@ -199,8 +195,7 @@ inline double pct_increase(double base, double value) {
 
 /// Where BENCH_<name>.json goes: $SPLICE_BENCH_JSON_DIR or the current dir.
 inline std::string bench_json_path(const std::string& name) {
-  const char* dir = std::getenv("SPLICE_BENCH_JSON_DIR");
-  std::string prefix = (dir != nullptr && *dir != '\0') ? std::string(dir) : ".";
+  std::string prefix = env_path("SPLICE_BENCH_JSON_DIR");
   if (!prefix.empty() && prefix.back() != '/') prefix += '/';
   return prefix + "BENCH_" + name + ".json";
 }

@@ -13,16 +13,18 @@
 #            not enabled (SolveOptions::profile=false, no SPLICE_PROFILE).
 #            -> bench_logs/BENCH_asp_core_profile_{before,after}.json
 #
-# Methodology (bench_logs/TRACING_OVERHEAD.md): both trees build
-# RelWithDebInfo; the two binaries run alternating — before, after, before,
-# after, … — for ROUNDS rounds in the same time window so machine noise hits
-# both sides equally.  Per benchmark the min across rounds is the comparison
-# estimator.  Both result files use schema splice-bench-v1, and the
-# per-bench delta table prints at the end.  Exit status 0 when the aggregate
-# (sum of mins) delta is <= 2%, 1 otherwise.
+# Methodology: both trees build RelWithDebInfo.  Each round runs every
+# benchmark once per side, one process per (benchmark, side)
+# (--benchmark_filter), the two sides back to back with the first side
+# flipping each round, so machine noise and drift hit both sides of a pair
+# alike.  A pair's ratio is after/before of the two per-iteration real
+# times.  The table prints each benchmark's median paired ratio; both
+# result files use schema splice-bench-v1 (each side's samples aggregated
+# per benchmark).  Exit status 0 when the median of all paired ratios is
+# at most 1.02 (<= 2% overhead), 1 otherwise.
 #
 # Usage: bench/run_asp_core_ab.sh flight|profile [rounds]
-#   ROUNDS      override round count (default 10)
+#   ROUNDS      override round count (default 8, at least 6)
 #   MIN_TIME    --benchmark_min_time per run (default 0.2)
 #   WORK        scratch directory (default <repo>/build-<mode>-ab)
 #   BEFORE_REF  profile mode: git ref of the "before" tree (default HEAD:
@@ -39,7 +41,11 @@ case "$MODE" in
     ;;
 esac
 REPO="$(cd "$(dirname "$0")/.." && pwd)"
-ROUNDS="${2:-${ROUNDS:-10}}"
+ROUNDS="${2:-${ROUNDS:-8}}"
+if [ "$ROUNDS" -lt 6 ]; then
+  echo "$MODE-ab: need at least 6 rounds, got $ROUNDS" >&2
+  exit 2
+fi
 MIN_TIME="${MIN_TIME:-0.2}"
 WORK="${WORK:-$REPO/build-$MODE-ab}"
 BEFORE_REF="${BEFORE_REF:-HEAD}"
@@ -63,35 +69,42 @@ else
 fi
 build "$WORK/after" "$REPO"
 
-if ! SPLICE_BENCH_JSON_DIR="$WORK" \
-     "$WORK/before/bench/bench_asp_core" --benchmark_list_tests >/dev/null; then
+if ! BENCHES="$(SPLICE_BENCH_JSON_DIR="$WORK" \
+     "$WORK/before/bench/bench_asp_core" --benchmark_list_tests)"; then
   echo "$MODE-ab: the before binary does not run" >&2
   exit 1
 fi
 
 rm -rf "$WORK/json"
 for r in $(seq 1 "$ROUNDS"); do
-  for side in before after; do
-    mkdir -p "$WORK/json/$side-$r"
-    echo "$MODE-ab: round $r/$ROUNDS ($side)" >&2
-    SPLICE_BENCH_JSON_DIR="$WORK/json/$side-$r" \
-      "$WORK/$side/bench/bench_asp_core" \
-      --benchmark_min_time="$MIN_TIME" >/dev/null 2>&1
+  if [ $((r % 2)) = 1 ]; then order="before after"; else order="after before"; fi
+  echo "$MODE-ab: round $r/$ROUNDS" >&2
+  i=0
+  for bench in $BENCHES; do
+    i=$((i + 1))
+    for side in $order; do
+      mkdir -p "$WORK/json/$side-$r-$i"
+      SPLICE_BENCH_JSON_DIR="$WORK/json/$side-$r-$i" \
+        "$WORK/$side/bench/bench_asp_core" --benchmark_filter="^$bench\$" \
+        --benchmark_min_time="$MIN_TIME" >/dev/null 2>&1
+    done
   done
 done
 
 python3 - "$MODE" "$WORK/json" "$OUT" "$ROUNDS" "$MIN_TIME" <<'EOF'
-import json, math, statistics, sys
+import glob, json, math, statistics, sys
 mode, json_dir, out_dir = sys.argv[1], sys.argv[2], sys.argv[3]
 rounds, min_time = int(sys.argv[4]), sys.argv[5]
 
 def collect(side):
+    """{benchmark: [seconds of round 1, round 2, ...]}."""
     samples = {}
     for r in range(1, rounds + 1):
-        with open(f"{json_dir}/{side}-{r}/BENCH_asp_core.json") as f:
-            doc = json.load(f)
-        for name, cell in doc["series"]["bench"].items():
-            samples.setdefault(name, []).append(cell["mean_seconds"])
+        for path in glob.glob(f"{json_dir}/{side}-{r}-*/BENCH_asp_core.json"):
+            with open(path) as f:
+                doc = json.load(f)
+            for name, cell in doc["series"]["bench"].items():
+                samples.setdefault(name, []).append(cell["mean_seconds"])
     return samples
 
 def aggregate(samples):
@@ -120,11 +133,12 @@ sides_text = {
                 "disabled-overhead contract", ("before", "after")),
 }
 what, contract, (b_label, a_label) = sides_text[mode]
-note = (f"{rounds} interleaved runs of bench_asp_core {what}, alternating in "
-        "the same time window on the same machine (RelWithDebInfo, "
-        f"--benchmark_min_time={min_time}); each sample is one run's "
-        f"per-iteration real time.  Compare min_seconds; the {contract} is "
-        "an aggregate (sum of mins) delta <= 2%.")
+note = (f"{rounds} rounds of bench_asp_core {what}; each round runs every "
+        "benchmark in its own process on both sides back to back, the first "
+        "side alternating by round (RelWithDebInfo, "
+        f"--benchmark_min_time={min_time}).  Each sample is one run's "
+        f"per-iteration real time.  The {contract} is a median paired "
+        "(same benchmark, same round) after/before ratio <= 1.02.")
 
 sides = {"before": collect("before"), "after": collect("after")}
 for stem, samples in sides.items():
@@ -137,18 +151,16 @@ for stem, samples in sides.items():
     print(f"{mode}-ab: wrote {path}", file=sys.stderr)
 
 before, after = sides["before"], sides["after"]
-print(f"\n{'benchmark':<34} {b_label + ' (ns)':>14} {a_label + ' (ns)':>14} "
-      f"{'delta':>8}")
-total_b = total_a = 0.0
+print(f"\n{'benchmark':<34} {b_label + ' med (ns)':>16} "
+      f"{a_label + ' med (ns)':>16} {'paired':>8}")
+pairs = []
 for name in sorted(before):
-    b, a = min(before[name]), min(after[name])
-    total_b += b; total_a += a
-    print(f"{name:<34} {b * 1e9:>14.0f} {a * 1e9:>14.0f} "
-          f"{(a - b) / b * 100:>+7.2f}%")
-agg = (total_a - total_b) / total_b * 100
-deltas = sorted((min(after[n]) - min(before[n])) / min(before[n]) * 100
-                for n in before)
-median = statistics.median(deltas)
-print(f"\naggregate (sum of mins): {agg:+.2f}%   median per-bench: {median:+.2f}%")
-sys.exit(0 if agg <= 2.0 else 1)
+    ratios = [a / b for b, a in zip(before[name], after[name])]
+    pairs += ratios
+    print(f"{name:<34} {statistics.median(before[name]) * 1e9:>16.0f} "
+          f"{statistics.median(after[name]) * 1e9:>16.0f} "
+          f"{(statistics.median(ratios) - 1) * 100:>+7.2f}%")
+median = (statistics.median(pairs) - 1) * 100
+print(f"\nmedian paired ratio over {len(pairs)} pairs: {median:+.2f}%")
+sys.exit(0 if median <= 2.0 else 1)
 EOF

@@ -5,6 +5,8 @@
 #include <limits>
 #include <stdexcept>
 
+#include "src/support/flight.hpp"
+
 namespace splice::asp::sat {
 
 namespace {
@@ -23,6 +25,8 @@ std::uint64_t luby(std::uint64_t x) {
   return 1ULL << seq;
 }
 constexpr std::uint64_t kRestartUnit = 64;
+/// A sat.conflicts event marks every kConflictTick-th conflict.
+constexpr std::uint64_t kConflictTick = 2048;
 constexpr double kVarDecay = 0.95;
 }  // namespace
 
@@ -55,11 +59,6 @@ std::size_t Solver::num_clauses() const {
     if (!c.dead) ++n;
   }
   return n;
-}
-
-void Solver::set_progress(ProgressFn fn, std::uint64_t conflict_interval) {
-  progress_ = std::move(fn);
-  progress_interval_ = conflict_interval == 0 ? 1 : conflict_interval;
 }
 
 void Solver::reserve(std::size_t vars, std::size_t clauses,
@@ -551,8 +550,11 @@ Solver::Result Solver::search(const std::vector<Lit>& assumptions) {
       ++stats_.conflicts;
       ++conflicts_since_restart;
       if (profile_) ++origin_cost(clauses_[confl].origin).conflicts;
-      if (progress_ && stats_.conflicts % progress_interval_ == 0) {
-        progress_(Progress{Progress::Kind::Conflicts, stats_, trail_.size()});
+      if (stats_.conflicts % kConflictTick == 0) {
+        flight::Recorder::global().emit(
+            flight::EventKind::SatConflicts,
+            static_cast<std::int64_t>(stats_.conflicts), 0, {},
+            flight::Phase::Solve);
       }
       if (trail_lim_.empty() || unsat_) {
         unsat_ = true;
@@ -598,9 +600,10 @@ Solver::Result Solver::search(const std::vector<Lit>& assumptions) {
       restart_limit = kRestartUnit * luby(stats_.restarts);
       backtrack(0);
       reduce_db();
-      if (progress_) {
-        progress_(Progress{Progress::Kind::Restart, stats_, trail_.size()});
-      }
+      flight::Recorder::global().emit(
+          flight::EventKind::SatRestart,
+          static_cast<std::int64_t>(stats_.conflicts), 0, {},
+          flight::Phase::Solve);
       continue;
     }
 

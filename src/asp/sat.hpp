@@ -26,7 +26,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <initializer_list>
 #include <memory>
 #include <span>
@@ -65,19 +64,6 @@ struct SatStats {
   /// Flat object, one field per counter (stats-JSON schema leaf).
   json::Value to_json() const;
 };
-
-/// A solver progress notification: emitted on every restart and after each
-/// `conflict_interval` conflicts, carrying a snapshot of the search
-/// counters.  Used to stream CDCL progress into the tracing layer without
-/// polling.
-struct Progress {
-  enum class Kind : std::uint8_t { Restart, Conflicts };
-  Kind kind;
-  SatStats stats;            ///< counters at emission time
-  std::size_t trail_size;    ///< current assignment depth
-};
-
-using ProgressFn = std::function<void(const Progress&)>;
 
 /// Per-origin cost accounting, populated only while profiling is enabled
 /// (Solver::enable_profiling).  Counter placement makes conservation exact:
@@ -165,11 +151,6 @@ class Solver {
 
   /// Clauses currently in the database (original + learned, minus deleted).
   std::size_t num_clauses() const;
-
-  /// Install a progress callback, invoked from inside solve() on every
-  /// restart and after every `conflict_interval` conflicts.  Pass an empty
-  /// function to uninstall.  The callback must not touch the solver.
-  void set_progress(ProgressFn fn, std::uint64_t conflict_interval = 2048);
 
   /// True once the clause database is known unsatisfiable.
   bool in_conflict() const { return unsat_; }
@@ -280,8 +261,6 @@ class Solver {
 
   std::uint64_t num_learned_limit_ = 4096;
   SatStats stats_;
-  ProgressFn progress_;
-  std::uint64_t progress_interval_ = 2048;
 
   // Profiling state: null while off (the hot-path gate).  ancestry_ is
   // analyze()'s scratch list of the distinct tagged origins resolved on the

@@ -3,46 +3,18 @@
 #include <algorithm>
 #include <map>
 #include <memory>
+#include <optional>
 
 #include "src/asp/sat.hpp"
 #include "src/asp/translate.hpp"
 #include "src/support/error.hpp"
 #include "src/support/flight.hpp"
+#include "src/support/strings.hpp"
 #include "src/support/trace.hpp"
 
 namespace splice::asp {
 
-namespace {
-
-flight::EventKind flight_kind(SolveEvent::Kind kind) {
-  switch (kind) {
-    case SolveEvent::Kind::SatRestart: return flight::EventKind::SatRestart;
-    case SolveEvent::Kind::SatConflicts:
-      return flight::EventKind::SatConflicts;
-    case SolveEvent::Kind::ModelFound: return flight::EventKind::ModelFound;
-    case SolveEvent::Kind::LoopNogood: return flight::EventKind::LoopNogood;
-    case SolveEvent::Kind::BoundImproved:
-      return flight::EventKind::BoundImproved;
-    case SolveEvent::Kind::LevelDone: return flight::EventKind::LevelDone;
-  }
-  return flight::EventKind::Mark;
-}
-
-}  // namespace
-
 using sat::Lit;
-
-std::string_view solve_event_name(SolveEvent::Kind kind) {
-  switch (kind) {
-    case SolveEvent::Kind::SatRestart: return "sat.restart";
-    case SolveEvent::Kind::SatConflicts: return "sat.conflicts";
-    case SolveEvent::Kind::ModelFound: return "asp.model";
-    case SolveEvent::Kind::LoopNogood: return "asp.loop_nogood";
-    case SolveEvent::Kind::BoundImproved: return "asp.bound";
-    case SolveEvent::Kind::LevelDone: return "asp.level_done";
-  }
-  return "asp.unknown";
-}
 
 json::Value SolveStats::to_json() const {
   json::Object o;
@@ -63,21 +35,31 @@ json::Value SolveStats::to_json() const {
 }
 
 std::vector<Term> Model::with_signature(std::string_view sig) const {
-  std::vector<Term> out;
-  // Resolve "name/arity" to an interned signature id once, then filter by
-  // integer comparison instead of rendering a string per atom.
-  std::size_t slash = sig.rfind('/');
-  if (slash == std::string_view::npos) return out;
-  std::size_t arity = 0;
-  for (char c : sig.substr(slash + 1)) {
-    if (c < '0' || c > '9') return out;
-    arity = arity * 10 + static_cast<std::size_t>(c - '0');
+  return std::move(with_signatures({sig}).front());
+}
+
+std::vector<std::vector<Term>> Model::with_signatures(
+    std::initializer_list<std::string_view> sigs) const {
+  // Resolve each "name/arity" to an interned signature id once, then filter
+  // by integer comparison instead of rendering a string per atom.  A
+  // malformed signature matches nothing.
+  std::vector<std::optional<SigId>> want;
+  for (std::string_view sig : sigs) {
+    std::size_t slash = sig.rfind('/');
+    std::optional<std::uint64_t> arity =
+        slash == std::string_view::npos ? std::nullopt
+                                        : parse_count(sig.substr(slash + 1));
+    want.push_back(arity ? std::optional<SigId>(Term::intern_sig(
+                               sig.substr(0, slash), *arity))
+                         : std::nullopt);
   }
-  SigId want = Term::intern_sig(sig.substr(0, slash), arity);
+  std::vector<std::vector<Term>> out(want.size());
   for (Term t : atoms) {
-    if (t.sig() == want) out.push_back(t);
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      if (want[i] == t.sig()) out[i].push_back(t);
+    }
   }
-  std::sort(out.begin(), out.end());
+  for (std::vector<Term>& terms : out) std::sort(terms.begin(), terms.end());
   return out;
 }
 
@@ -86,17 +68,8 @@ SolveResult solve_ground(const GroundProgram& gp, const SolveOptions& opts) {
   result.stats.ground = gp.stats;
   result.stats.ground_seconds = gp.stats.seconds;
 
-  trace::Tracer& tracer = trace::Tracer::global();
   flight::Recorder& flightrec = flight::Recorder::global();
   trace::Span span("solve", "asp");
-
-  // Event plumbing: solve_stable / the optimization loop call `emit`, which
-  // completes the counters and forwards to the user callback, the tracer,
-  // and the flight recorder.  The flight tap is always-on but cheap: the
-  // CDCL core only fires it per restart / per 2048-conflict batch.
-  const bool want_events = static_cast<bool>(opts.progress) ||
-                           tracer.enabled() || flightrec.enabled();
-  SolveEventFn emit;
 
   std::unique_ptr<Translation> tr;
   {
@@ -109,51 +82,6 @@ SolveResult solve_ground(const GroundProgram& gp, const SolveOptions& opts) {
   result.stats.sat_clauses = tr->solver().num_clauses();
   span.attr("sat_vars", result.stats.sat_vars);
   span.attr("sat_clauses", result.stats.sat_clauses);
-
-  if (want_events) {
-    emit = [&opts, &tracer, &flightrec, &result, &tr](SolveEvent ev) {
-      ev.conflicts = result.stats.conflicts + tr->solver().stats().conflicts;
-      ev.models = result.stats.models_enumerated;
-      if (opts.progress) opts.progress(ev);
-      if (tracer.enabled()) {
-        tracer.instant(solve_event_name(ev.kind), "asp",
-                       {{"priority", json::Value(ev.priority)},
-                        {"cost", json::Value(ev.cost)},
-                        {"conflicts", json::Value(ev.conflicts)},
-                        {"models", json::Value(ev.models)}});
-      }
-      switch (ev.kind) {
-        case SolveEvent::Kind::BoundImproved:
-        case SolveEvent::Kind::LevelDone:
-          flightrec.emit(flight_kind(ev.kind), ev.cost, ev.priority, {},
-                         flight::Phase::Solve);
-          break;
-        case SolveEvent::Kind::ModelFound:
-          flightrec.emit(flight_kind(ev.kind),
-                         static_cast<std::int64_t>(ev.models),
-                         static_cast<std::int64_t>(ev.conflicts), {},
-                         flight::Phase::Solve);
-          break;
-        default:
-          flightrec.emit(flight_kind(ev.kind),
-                         static_cast<std::int64_t>(ev.conflicts), 0, {},
-                         flight::Phase::Solve);
-          break;
-      }
-    };
-  }
-
-  // Relay the CDCL core's restart/conflict-batch callback.
-  if (want_events) {
-    tr->solver().set_progress([&emit](const sat::Progress& p) {
-      SolveEvent ev;
-      ev.kind = p.kind == sat::Progress::Kind::Restart
-                    ? SolveEvent::Kind::SatRestart
-                    : SolveEvent::Kind::SatConflicts;
-      ev.conflicts = p.stats.conflicts;
-      emit(ev);
-    });
-  }
 
   // (priority, bound) pairs already fixed by finished levels.
   std::vector<std::pair<std::int64_t, std::int64_t>> fixed_bounds;
@@ -196,8 +124,7 @@ SolveResult solve_ground(const GroundProgram& gp, const SolveOptions& opts) {
     result.profile = std::move(pd);
   };
 
-  if (solve_stable(*tr, {}, result.stats, emit) ==
-      sat::Solver::Result::Unsat) {
+  if (solve_stable(*tr, {}, result.stats) == sat::Solver::Result::Unsat) {
     finish_stats(*tr);
     capture_profile(*tr);
     result.sat = false;
@@ -249,27 +176,17 @@ SolveResult solve_ground(const GroundProgram& gp, const SolveOptions& opts) {
                                   tr->opt_bound_origin())) {
         break;  // database already contradicts any tighter bound
       }
-      auto res = solve_stable(*tr, {guard}, result.stats, emit);
+      auto res = solve_stable(*tr, {guard}, result.stats);
       tr->solver().add_clause({sat::negate(guard)}, tr->opt_bound_origin());
       if (res == sat::Solver::Result::Unsat) break;
       best_cost = tr->eval_cost(prio);
       best_bits = tr->solver().model();
-      if (emit) {
-        SolveEvent ev;
-        ev.kind = SolveEvent::Kind::BoundImproved;
-        ev.priority = prio;
-        ev.cost = best_cost;
-        emit(ev);
-      }
+      flightrec.emit(flight::EventKind::BoundImproved, best_cost, prio, {},
+                     flight::Phase::Solve);
     }
     fixed_bounds.emplace_back(prio, best_cost);
-    if (emit) {
-      SolveEvent ev;
-      ev.kind = SolveEvent::Kind::LevelDone;
-      ev.priority = prio;
-      ev.cost = best_cost;
-      emit(ev);
-    }
+    flightrec.emit(flight::EventKind::LevelDone, best_cost, prio, {},
+                   flight::Phase::Solve);
     level_span.attr("cost", best_cost);
     // Pin this level's optimum permanently before descending.
     if (prio != priorities.back()) {

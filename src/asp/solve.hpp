@@ -13,7 +13,7 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
+#include <initializer_list>
 #include <memory>
 #include <string_view>
 #include <unordered_set>
@@ -48,31 +48,6 @@ struct SolveStats {
   json::Value to_json() const;
 };
 
-/// One streamed solver progress notification.  SatRestart/SatConflicts relay
-/// the CDCL core's progress callback; the others mark ASP-level milestones:
-/// candidate models, unfounded-set refutations, and optimization bound
-/// improvements / finished priority levels.
-struct SolveEvent {
-  enum class Kind : std::uint8_t {
-    SatRestart,
-    SatConflicts,
-    ModelFound,
-    LoopNogood,
-    BoundImproved,
-    LevelDone,
-  };
-  Kind kind;
-  std::int64_t priority = 0;   ///< BoundImproved/LevelDone: #minimize level
-  std::int64_t cost = 0;       ///< BoundImproved/LevelDone: best cost so far
-  std::uint64_t conflicts = 0; ///< cumulative CDCL conflicts at emission
-  std::uint64_t models = 0;    ///< candidate models enumerated so far
-};
-
-/// Stable event name, e.g. "sat.restart", "asp.bound" (trace event names).
-std::string_view solve_event_name(SolveEvent::Kind kind);
-
-using SolveProgressFn = std::function<void(const SolveEvent&)>;
-
 /// A stable (and, when minimize statements exist, optimal) model.
 struct Model {
   /// The true atoms, as interned terms.
@@ -82,8 +57,13 @@ struct Model {
 
   bool contains(Term t) const { return atoms.count(t) > 0; }
 
-  /// All true atoms with the given predicate signature, e.g. "attr/4".
+  /// All true atoms with the given predicate signature, e.g. "attr/4",
+  /// sorted.
   std::vector<Term> with_signature(std::string_view sig) const;
+  /// with_signature for several signatures from one scan of the atoms:
+  /// element i holds the atoms of sigs[i].
+  std::vector<std::vector<Term>> with_signatures(
+      std::initializer_list<std::string_view> sigs) const;
 };
 
 struct SolveResult {
@@ -101,9 +81,6 @@ struct SolveOptions {
   /// per-source-rule cost into SolveResult::profile.  Pair with
   /// GroundOptions::profile + record_provenance for directive attribution.
   bool profile = false;
-  /// Streamed search progress.  Independently of this callback, the same
-  /// events are mirrored as instants into the global tracer when enabled.
-  SolveProgressFn progress;
 };
 
 /// Solve an already-ground program.

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "src/support/flight.hpp"
+
 namespace splice::asp {
 
 using sat::Lit;
@@ -493,31 +495,27 @@ void Translation::compute_sccs() {
 
 sat::Solver::Result solve_stable(Translation& tr,
                                  const std::vector<Lit>& assumptions,
-                                 SolveStats& stats, const SolveEventFn& emit) {
+                                 SolveStats& stats) {
+  flight::Recorder& rec = flight::Recorder::global();
   while (true) {
     if (tr.solver().solve(assumptions) == sat::Solver::Result::Unsat) {
       return sat::Solver::Result::Unsat;
     }
     ++stats.models_enumerated;
+    auto conflicts = static_cast<std::int64_t>(tr.solver().stats().conflicts);
     auto nogoods = tr.unfounded_nogoods();
     if (nogoods.empty()) {
-      if (emit) {
-        SolveEvent ev;
-        ev.kind = SolveEvent::Kind::ModelFound;
-        emit(ev);
-      }
+      rec.emit(flight::EventKind::ModelFound,
+               static_cast<std::int64_t>(stats.models_enumerated), conflicts,
+               {}, flight::Phase::Solve);
       return sat::Solver::Result::Sat;
     }
     for (auto& ng : nogoods) {
       ++stats.loop_nogoods;
       tr.solver().add_clause(std::move(ng), tr.loop_nogood_origin());
     }
-    if (emit) {
-      SolveEvent ev;
-      ev.kind = SolveEvent::Kind::LoopNogood;
-      ev.cost = static_cast<std::int64_t>(nogoods.size());
-      emit(ev);
-    }
+    rec.emit(flight::EventKind::LoopNogood, conflicts, 0, {},
+             flight::Phase::Solve);
   }
 }
 

@@ -6,7 +6,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <span>
 #include <utility>
@@ -194,16 +193,13 @@ class Translation {
   bool tight_ = true;
 };
 
-using SolveEventFn = std::function<void(SolveEvent)>;
-
 /// Run the SAT search until a *stable* model is found (or UNSAT), learning
 /// loop nogoods along the way.  Nogoods go straight into the (persistent)
 /// solver; `assumptions` scope the search, so Unsat may mean "under these
 /// assumptions only" — check tr.solver().in_conflict() / final_core().
-/// `emit` (optional) streams ModelFound / LoopNogood milestones.
+/// Reports asp.model / asp.loop_nogood flight events.
 sat::Solver::Result solve_stable(Translation& tr,
                                  const std::vector<sat::Lit>& assumptions,
-                                 SolveStats& stats,
-                                 const SolveEventFn& emit = {});
+                                 SolveStats& stats);
 
 }  // namespace splice::asp

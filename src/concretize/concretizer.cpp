@@ -1,7 +1,6 @@
 #include "src/concretize/concretizer.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <mutex>
 #include <optional>
 #include <set>
@@ -881,13 +880,13 @@ void Concretizer::add_reusable(const Spec& concrete) {
 
 namespace {
 
-/// SPLICE_PROFILE=1 (any value but 0/off/false, see parse_switch) turns on
+/// SPLICE_PROFILE=1 (any value but 0/off/false, see env_switch) turns on
 /// always-on profiling of every concretization: per-origin/per-rule
 /// accounting rides the normal solve, headline totals land in the metrics
 /// registry as profile/* series, and the flight account's note carries the
 /// top-3 hottest directives (DESIGN.md §14).
 bool env_profile_enabled() {
-  static const bool on = parse_switch(std::getenv("SPLICE_PROFILE"), false);
+  static const bool on = env_switch("SPLICE_PROFILE", false);
   return on;
 }
 
@@ -1090,8 +1089,10 @@ EnvironmentResult Concretizer::concretize_together(
     std::map<std::string, std::size_t> index_of;
     Spec out;
     const std::string& primary = requests.front().root.root().name;
+    std::vector<std::vector<Term>> attrs =
+        model.with_signatures({"attr/2", "attr/3", "attr/4"});
     std::set<std::string> names;
-    for (Term t : model.with_signature("attr/2")) {
+    for (Term t : attrs[0]) {
       if (t.args()[0].name() != "node") continue;
       names.insert(node_name(t, 1));
     }
@@ -1111,7 +1112,7 @@ EnvironmentResult Concretizer::concretize_together(
     std::map<std::string, std::string> hash_of;       // node -> reused hash
     std::vector<std::tuple<std::string, std::string, std::string>> splice_attrs;
 
-    for (Term t : model.with_signature("attr/3")) {
+    for (Term t : attrs[1]) {
       std::string kind(t.args()[0].name());
       if (kind == "version") {
         out.nodes()[index_of.at(node_name(t, 1))].versions =
@@ -1125,7 +1126,7 @@ EnvironmentResult Concretizer::concretize_together(
         hash_of[node_name(t, 1)] = arg_str(t, 2);
       }
     }
-    for (Term t : model.with_signature("attr/4")) {
+    for (Term t : attrs[2]) {
       std::string kind(t.args()[0].name());
       if (kind == "variant") {
         out.nodes()[index_of.at(node_name(t, 1))].variants[arg_str(t, 2)] =

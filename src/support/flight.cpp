@@ -121,37 +121,6 @@ json::Value RequestAccount::to_json() const {
   return json::Value(std::move(o));
 }
 
-// ---- env parsing -----------------------------------------------------------
-
-namespace {
-
-void warn_env(const char* var, const char* value,
-              const char* expected = "a number") {
-  std::fprintf(stderr,
-               "splice: warning: ignoring malformed %s=\"%s\" "
-               "(expected %s)\n",
-               var, value == nullptr ? "" : value, expected);
-}
-
-}  // namespace
-
-std::uint64_t env_u64(const char* var, const char* value,
-                      std::uint64_t fallback, std::uint64_t max) {
-  if (value == nullptr) return fallback;
-  std::optional<std::uint64_t> n = parse_count(value);
-  if (n && *n <= max) return *n;
-  warn_env(var, value,
-           n ? ("at most " + std::to_string(max)).c_str() : "a number");
-  return fallback;
-}
-
-double env_double(const char* var, const char* value, double fallback) {
-  if (value == nullptr) return fallback;
-  if (std::optional<double> x = parse_non_negative(value)) return *x;
-  warn_env(var, value);
-  return fallback;
-}
-
 // ---- Recorder --------------------------------------------------------------
 
 namespace {
@@ -204,25 +173,19 @@ void Recorder::configure(RecorderOptions opts) {
 Recorder& Recorder::global() {
   static Recorder* rec = [] {
     RecorderOptions opts;
-    opts.enabled = parse_switch(std::getenv("SPLICE_FLIGHT"), opts.enabled);
+    opts.enabled = env_switch("SPLICE_FLIGHT", opts.enabled);
     opts.capacity = static_cast<std::size_t>(
-        env_u64("SPLICE_FLIGHT_CAPACITY",
-                std::getenv("SPLICE_FLIGHT_CAPACITY"), opts.capacity,
-                kMaxCapacity));
-    opts.slow_ms = env_double("SPLICE_FLIGHT_SLOW_MS",
-                              std::getenv("SPLICE_FLIGHT_SLOW_MS"), 0);
-    opts.slow_conflicts =
-        env_u64("SPLICE_FLIGHT_SLOW_CONFLICTS",
-                std::getenv("SPLICE_FLIGHT_SLOW_CONFLICTS"), 0);
-    if (const char* p = std::getenv("SPLICE_FLIGHT_DIR"); p && *p) {
-      opts.dump_dir = p;
+        env_count("SPLICE_FLIGHT_CAPACITY", opts.capacity, kMaxCapacity));
+    opts.slow_ms = env_number("SPLICE_FLIGHT_SLOW_MS", 0);
+    opts.slow_conflicts = env_count("SPLICE_FLIGHT_SLOW_CONFLICTS", 0);
+    if (std::string dir = env_path("SPLICE_FLIGHT_DIR"); !dir.empty()) {
+      opts.dump_dir = std::move(dir);
       opts.dump_abnormal = true;
     }
     // Never destroyed: must stay usable from atexit and signal handlers.
     auto* r = new Recorder(std::move(opts));
-    if (const char* p = std::getenv("SPLICE_FLIGHT_EXIT"); p && *p) {
-      static std::string exit_path;
-      exit_path = p;
+    static const std::string exit_path = env_path("SPLICE_FLIGHT_EXIT");
+    if (!exit_path.empty()) {
       std::atexit([] {
         if (!Recorder::global().write_dump(exit_path, "exit")) {
           std::fprintf(stderr,
@@ -232,12 +195,10 @@ Recorder& Recorder::global() {
         }
       });
     }
-    if (const char* p = std::getenv("SPLICE_FLIGHT_CRASH"); p && *p) {
-      install_crash_handler(p);
+    if (std::string crash = env_path("SPLICE_FLIGHT_CRASH"); !crash.empty()) {
+      install_crash_handler(std::move(crash));
     }
-    double watchdog_ms = env_double(
-        "SPLICE_FLIGHT_WATCHDOG_MS", std::getenv("SPLICE_FLIGHT_WATCHDOG_MS"),
-        0);
+    double watchdog_ms = env_number("SPLICE_FLIGHT_WATCHDOG_MS", 0);
     if (watchdog_ms > 0) r->start_watchdog(watchdog_ms);
     return r;
   }();
@@ -271,6 +232,21 @@ void Recorder::do_emit(EventKind kind, std::int64_t a, std::int64_t b,
   if (n > 0) std::memcpy(ev.detail, detail.data(), n);
   std::lock_guard<std::mutex> lock(mu_);
   push_locked(ev);
+}
+
+void Recorder::mirror(EventKind kind, std::int64_t a, std::int64_t b,
+                      std::string_view detail, Phase phase) const {
+  // Request and phase boundaries reach the tracer as spans, not instants.
+  if (kind <= EventKind::PhaseEnd) return;
+  std::vector<std::pair<std::string, json::Value>> args{
+      {"req", json::Value(static_cast<std::int64_t>(current_request()))},
+      {"a", json::Value(a)},
+      {"b", json::Value(b)}};
+  // The same (truncated) label the ring slot keeps.
+  detail = detail.substr(0, sizeof(Event::detail) - 1);
+  if (!detail.empty()) args.emplace_back("detail", json::Value(detail));
+  trace::Tracer::global().instant(kind_name(kind), phase_name(phase),
+                                  std::move(args));
 }
 
 std::uint32_t Recorder::current_request() const {

@@ -37,9 +37,9 @@
 //   SPLICE_FLIGHT_EXIT=<file>        dump the full ring at process exit
 //   SPLICE_FLIGHT_CRASH=<file>       dump on SIGSEGV/SIGBUS/SIGABRT/...
 //   SPLICE_FLIGHT_WATCHDOG_MS=<n>    dump requests still active after n ms
-// Numbers parse strictly (splice::parse_count / parse_non_negative).
-// Malformed or out-of-range values warn once on stderr and fall back to the
-// default; they are never silently dropped.
+// Each is read once, by the splice::env_* readers (strings.hpp): numbers
+// parse strictly, and a malformed, out-of-range or blank value warns once on
+// stderr and falls back to the default; it is never silently dropped.
 #pragma once
 
 #include <array>
@@ -61,9 +61,8 @@
 
 namespace splice::flight {
 
-/// What an event records.  The JSON names (kind_name) follow the tracer's
-/// event taxonomy ("sat.restart", "asp.bound", ...) so the two layers read
-/// the same in a dump.
+/// What an event records: the one event taxonomy.  kind_name() is the one
+/// name table; a ring dump and the tracer's instants both use it.
 enum class EventKind : std::uint8_t {
   RequestBegin,
   RequestEnd,
@@ -225,13 +224,17 @@ class Recorder {
 
   // -- event emission -------------------------------------------------------
 
-  /// Record one event, attributed to the calling thread's current request
-  /// (see RequestScope).  Compiles away under SPLICE_FLIGHT_DISABLED; a
-  /// disabled recorder pays one relaxed atomic load.
+  /// Report one point event, the one call every pipeline tap makes.  The
+  /// ring gets it, attributed to the calling thread's current request (see
+  /// RequestScope), when recording is on; the global tracer gets it as an
+  /// instant named kind_name(kind) in category phase_name(phase), args
+  /// {req, a, b[, detail]}, when tracing is on.  Either sink may be off (the
+  /// ring compiles away under SPLICE_FLIGHT_DISABLED); with both off an
+  /// emit costs two relaxed atomic loads.
   void emit(EventKind kind, std::int64_t a = 0, std::int64_t b = 0,
             std::string_view detail = {}, Phase phase = Phase::None) {
-    if (!enabled()) return;
-    do_emit(kind, a, b, detail, phase);
+    if (enabled()) do_emit(kind, a, b, detail, phase);
+    if (trace::Tracer::global().enabled()) mirror(kind, a, b, detail, phase);
   }
 
   /// The calling thread's current request id on this recorder (0 if none).
@@ -275,6 +278,8 @@ class Recorder {
                std::string_view detail, Phase phase,
                std::chrono::steady_clock::time_point at =
                    std::chrono::steady_clock::now());
+  void mirror(EventKind kind, std::int64_t a, std::int64_t b,
+              std::string_view detail, Phase phase) const;
   void push_locked(Event ev);
   std::vector<Event> events_locked() const;
   RequestAccount* find_locked(std::uint32_t id);
@@ -345,15 +350,6 @@ class PhaseScope {
   Recorder* rec_ = nullptr;  ///< null when recording is off
   Phase phase_ = Phase::None;
 };
-
-/// Parse a numeric SPLICE_FLIGHT_* environment value.  A set-but-malformed
-/// value (empty, signed, non-numeric, trailing junk) or one above `max`
-/// emits one stderr warning naming the variable and the bad value, then
-/// returns `fallback`; unset (nullptr) returns `fallback` silently.
-std::uint64_t env_u64(const char* var, const char* value,
-                      std::uint64_t fallback,
-                      std::uint64_t max = UINT64_MAX);
-double env_double(const char* var, const char* value, double fallback);
 
 /// Derive the nested span tree for one request from its PhaseBegin/PhaseEnd
 /// event slice (per-thread stacks; unmatched events from ring wraparound are

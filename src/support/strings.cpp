@@ -3,6 +3,8 @@
 #include <cctype>
 #include <charconv>
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
 
 namespace splice {
 
@@ -97,6 +99,48 @@ bool parse_switch(const char* value, bool fallback) {
   if (value == nullptr || *value == '\0') return fallback;
   std::string_view v(value);
   return v != "0" && v != "off" && v != "false";
+}
+
+namespace {
+
+void warn_env(const char* var, const char* value, const std::string& expected) {
+  std::fprintf(stderr,
+               "splice: warning: ignoring malformed %s=\"%s\" (expected %s)\n",
+               var, value, expected.c_str());
+}
+
+}  // namespace
+
+std::string env_path(const char* var) {
+  const char* value = std::getenv(var);
+  if (value == nullptr) return {};
+  if (trim(value).empty()) {
+    warn_env(var, value, "a path");
+    return {};
+  }
+  return value;
+}
+
+std::uint64_t env_count(const char* var, std::uint64_t fallback,
+                        std::uint64_t max) {
+  const char* value = std::getenv(var);
+  if (value == nullptr) return fallback;
+  std::optional<std::uint64_t> n = parse_count(value);
+  if (n && *n <= max) return *n;
+  warn_env(var, value, n ? "at most " + std::to_string(max) : "a number");
+  return fallback;
+}
+
+double env_number(const char* var, double fallback) {
+  const char* value = std::getenv(var);
+  if (value == nullptr) return fallback;
+  if (std::optional<double> x = parse_non_negative(value)) return *x;
+  warn_env(var, value, "a number");
+  return fallback;
+}
+
+bool env_switch(const char* var, bool fallback) {
+  return parse_switch(std::getenv(var), fallback);
 }
 
 }  // namespace splice

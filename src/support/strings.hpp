@@ -41,4 +41,20 @@ std::optional<double> parse_non_negative(std::string_view s);
 /// (nullptr) or empty value leaves `fallback`.
 bool parse_switch(const char* value, bool fallback);
 
+/// The readers of every SPLICE_* environment setting.  Each reads `var`
+/// once.  Unset gives the fallback silently; a set value it cannot use
+/// warns once on stderr, as
+///   splice: warning: ignoring malformed VAR="value" (expected ...)
+/// and gives the fallback, so no setting is silently dropped.
+///   env_path    a file or directory path; blank (empty or all whitespace)
+///               is unusable.  Gives "" when unset or unusable.
+///   env_count   parse_count(), at most `max`.
+///   env_number  parse_non_negative().
+///   env_switch  parse_switch(); every value is usable.
+std::string env_path(const char* var);
+std::uint64_t env_count(const char* var, std::uint64_t fallback,
+                        std::uint64_t max = UINT64_MAX);
+double env_number(const char* var, double fallback);
+bool env_switch(const char* var, bool fallback);
+
 }  // namespace splice

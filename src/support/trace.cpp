@@ -2,10 +2,12 @@
 
 #include <algorithm>
 
-#include "src/support/chrome.hpp"
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+
+#include "src/support/chrome.hpp"
+#include "src/support/strings.hpp"
 
 namespace splice::trace {
 
@@ -278,45 +280,27 @@ std::uint32_t Tracer::thread_id() {
 
 Tracer::Tracer() : epoch_(std::chrono::steady_clock::now()) {}
 
-bool env_export_path_ok(const char* var, const char* value) {
-  if (value == nullptr) return false;
-  std::string_view v(value);
-  if (v.find_first_not_of(" \t\r\n") == std::string_view::npos) {
-    std::fprintf(stderr,
-                 "splice: warning: ignoring blank %s=\"%s\" "
-                 "(expected an output file path)\n",
-                 var, value);
-    return false;
-  }
-  return true;
-}
-
 Tracer& Tracer::global() {
   static Tracer* tracer = [] {
     auto* t = new Tracer();  // never destroyed: usable from atexit handlers
-    bool trace_ok =
-        env_export_path_ok("SPLICE_TRACE", std::getenv("SPLICE_TRACE"));
-    bool stats_ok = env_export_path_ok("SPLICE_TRACE_STATS",
-                                       std::getenv("SPLICE_TRACE_STATS"));
-    if (trace_ok || stats_ok) {
+    // Read once; the exit hook writes to exactly the validated paths.
+    static const std::string trace_path = env_path("SPLICE_TRACE");
+    static const std::string stats_path = env_path("SPLICE_TRACE_STATS");
+    if (!trace_path.empty() || !stats_path.empty()) {
       t->set_enabled(true);
       std::atexit([] {
         Tracer& g = Tracer::global();
-        if (const char* p = std::getenv("SPLICE_TRACE"); p && *p) {
-          if (!g.write_chrome_trace(p)) {
-            std::fprintf(stderr,
-                         "splice: warning: SPLICE_TRACE: cannot write "
-                         "chrome trace to \"%s\"\n",
-                         p);
-          }
+        if (!trace_path.empty() && !g.write_chrome_trace(trace_path)) {
+          std::fprintf(stderr,
+                       "splice: warning: SPLICE_TRACE: cannot write "
+                       "chrome trace to \"%s\"\n",
+                       trace_path.c_str());
         }
-        if (const char* p = std::getenv("SPLICE_TRACE_STATS"); p && *p) {
-          if (!g.write_stats(p)) {
-            std::fprintf(stderr,
-                         "splice: warning: SPLICE_TRACE_STATS: cannot write "
-                         "stats to \"%s\"\n",
-                         p);
-          }
+        if (!stats_path.empty() && !g.write_stats(stats_path)) {
+          std::fprintf(stderr,
+                       "splice: warning: SPLICE_TRACE_STATS: cannot write "
+                       "stats to \"%s\"\n",
+                       stats_path.c_str());
         }
       });
     }

@@ -21,7 +21,8 @@
 // Environment hook: setting SPLICE_TRACE=<file> enables the global tracer
 // at startup and dumps the Chrome trace to <file> at process exit
 // (SPLICE_TRACE_STATS=<file> additionally dumps the stats JSON).  Works in
-// every binary linking splice_support: tools, benches, tests, examples.
+// every binary linking splice_support: tools, benches, tests, examples.  A
+// blank value warns and is ignored (splice::env_path).
 #pragma once
 
 #include <atomic>
@@ -181,12 +182,5 @@ class Span {
   Clock::time_point end_{};   ///< epoch (zero) while the span is open
   TraceEvent ev_;             ///< name/category/args staging (when recording)
 };
-
-/// True when `value` names a usable export path for environment hook `var`.
-/// A set-but-blank value (empty or all-whitespace) emits one stderr warning
-/// naming the variable instead of being silently dropped; unset (nullptr)
-/// is silently false.  Used by Tracer::global() for SPLICE_TRACE /
-/// SPLICE_TRACE_STATS; exposed for tests.
-bool env_export_path_ok(const char* var, const char* value);
 
 }  // namespace splice::trace

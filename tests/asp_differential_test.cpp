@@ -23,6 +23,7 @@
 
 #include "src/asp/asp.hpp"
 #include "src/support/error.hpp"
+#include "src/support/flight.hpp"
 
 namespace splice::asp {
 namespace {
@@ -553,23 +554,29 @@ TEST(StatsAudit, SolveCountersNonzeroAndMonotoneOnPigeonhole) {
 
 // The incremental optimizer must keep counters cumulative across priority
 // levels: one persistent solver, so the final stats equal the sum of what
-// the progress stream saw (nothing is lost between bound-tightening
+// the recorder's event stream saw (nothing is lost between bound-tightening
 // re-solves or level transitions).
 TEST(StatsAudit, OptimizationCountersCumulativeAcrossLevels) {
   Program p = parse_program(
       "{ a ; b ; c }. :- not a, not b, not c.\n"
       "#minimize { 3@2 : a ; 1@2 : b ; 2@2 : c }.\n"
       "#minimize { 1@1 : a ; 2@1 : b ; 3@1 : c }.\n");
+  flight::Recorder& rec = flight::Recorder::global();
+  SolveResult r;
+  std::uint32_t id = 0;
+  {
+    flight::RequestScope request("cumulative counters", rec);
+    id = request.id();
+    r = solve_program(p);
+  }
+  ASSERT_NE(id, 0u) << "the global recorder is off";
   std::size_t model_events = 0;
   std::vector<std::int64_t> levels_done;
-  SolveOptions opts;
-  opts.progress = [&](const SolveEvent& ev) {
-    if (ev.kind == SolveEvent::Kind::ModelFound) ++model_events;
-    if (ev.kind == SolveEvent::Kind::LevelDone) {
-      levels_done.push_back(ev.priority);
-    }
-  };
-  SolveResult r = solve_program(p, opts);
+  for (const flight::Event& ev : rec.events()) {
+    if (ev.request != id) continue;
+    if (ev.kind == flight::EventKind::ModelFound) ++model_events;
+    if (ev.kind == flight::EventKind::LevelDone) levels_done.push_back(ev.b);
+  }
   ASSERT_TRUE(r.sat);
   // Unique optimum: b alone (1@2, then 2@1).
   std::vector<std::pair<std::int64_t, std::int64_t>> want{{2, 1}, {1, 2}};

@@ -18,9 +18,11 @@
 #include "src/concretize/concretizer.hpp"
 #include "src/support/flight.hpp"
 #include "src/support/json.hpp"
+#include "src/support/strings.hpp"
 #include "src/support/trace.hpp"
 #include "src/workload/caches.hpp"
 #include "src/workload/radiuss.hpp"
+#include "tests/scoped_env.hpp"
 
 namespace {
 
@@ -433,9 +435,22 @@ TEST(FlightDumpTest, SpanTreeToleratesWraparoundOrphans) {
   EXPECT_TRUE(tree.as_array().empty());
 }
 
+/// env_count / env_number reading `var` set to `value` (nullptr: unset).
+std::uint64_t count_of(const char* var, const char* value,
+                       std::uint64_t fallback,
+                       std::uint64_t max = UINT64_MAX) {
+  testing_env::ScopedEnv env(var, value);
+  return env_count(var, fallback, max);
+}
+
+double number_of(const char* var, const char* value, double fallback) {
+  testing_env::ScopedEnv env(var, value);
+  return env_number(var, fallback);
+}
+
 TEST(FlightEnvTest, MalformedValuesWarnOnceAndFallBack) {
   testing::internal::CaptureStderr();
-  EXPECT_EQ(flight::env_u64("SPLICE_FLIGHT_CAPACITY", "12abc", 5u), 5u);
+  EXPECT_EQ(count_of("SPLICE_FLIGHT_CAPACITY", "12abc", 5u), 5u);
   std::string err = testing::internal::GetCapturedStderr();
   EXPECT_NE(err.find("SPLICE_FLIGHT_CAPACITY"), std::string::npos);
   EXPECT_NE(err.find("12abc"), std::string::npos);
@@ -443,13 +458,13 @@ TEST(FlightEnvTest, MalformedValuesWarnOnceAndFallBack) {
 
   testing::internal::CaptureStderr();
   EXPECT_DOUBLE_EQ(
-      flight::env_double("SPLICE_FLIGHT_SLOW_MS", "fast", 2.5), 2.5);
+      number_of("SPLICE_FLIGHT_SLOW_MS", "fast", 2.5), 2.5);
   err = testing::internal::GetCapturedStderr();
   EXPECT_NE(err.find("SPLICE_FLIGHT_SLOW_MS"), std::string::npos);
   EXPECT_NE(err.find("fast"), std::string::npos);
 
   testing::internal::CaptureStderr();
-  EXPECT_EQ(flight::env_u64("SPLICE_FLIGHT_CAPACITY", "", 7u), 7u);
+  EXPECT_EQ(count_of("SPLICE_FLIGHT_CAPACITY", "", 7u), 7u);
   EXPECT_FALSE(testing::internal::GetCapturedStderr().empty())
       << "an empty value must warn, not vanish";
 }
@@ -457,13 +472,13 @@ TEST(FlightEnvTest, MalformedValuesWarnOnceAndFallBack) {
 TEST(FlightEnvTest, SignedAndOutOfRangeValuesFallBack) {
   // These calls only parse the value; nothing is allocated.
   testing::internal::CaptureStderr();
-  EXPECT_EQ(flight::env_u64("SPLICE_FLIGHT_CAPACITY", "-1", 5u), 5u);
-  EXPECT_EQ(flight::env_u64("SPLICE_FLIGHT_CAPACITY", " 64", 5u), 5u);
-  EXPECT_EQ(flight::env_u64("SPLICE_FLIGHT_CAPACITY",
+  EXPECT_EQ(count_of("SPLICE_FLIGHT_CAPACITY", "-1", 5u), 5u);
+  EXPECT_EQ(count_of("SPLICE_FLIGHT_CAPACITY", " 64", 5u), 5u);
+  EXPECT_EQ(count_of("SPLICE_FLIGHT_CAPACITY",
                             "18446744073709551616", 5u),
             5u);
-  EXPECT_DOUBLE_EQ(flight::env_double("SPLICE_FLIGHT_SLOW_MS", "-3", 2), 2);
-  EXPECT_DOUBLE_EQ(flight::env_double("SPLICE_FLIGHT_SLOW_MS", "inf", 2), 2);
+  EXPECT_DOUBLE_EQ(number_of("SPLICE_FLIGHT_SLOW_MS", "-3", 2), 2);
+  EXPECT_DOUBLE_EQ(number_of("SPLICE_FLIGHT_SLOW_MS", "inf", 2), 2);
   std::string err = testing::internal::GetCapturedStderr();
   EXPECT_NE(err.find("SPLICE_FLIGHT_CAPACITY=\"-1\""), std::string::npos);
   EXPECT_NE(err.find("SPLICE_FLIGHT_SLOW_MS=\"inf\""), std::string::npos);
@@ -474,15 +489,15 @@ TEST(FlightEnvTest, CapacityAboveCeilingFallsBack) {
   const std::string ceiling = std::to_string(flight::kMaxCapacity);
   const std::string above = std::to_string(flight::kMaxCapacity + 1);
   testing::internal::CaptureStderr();
-  EXPECT_EQ(flight::env_u64("SPLICE_FLIGHT_CAPACITY", ceiling.c_str(), 5u,
+  EXPECT_EQ(count_of("SPLICE_FLIGHT_CAPACITY", ceiling.c_str(), 5u,
                             flight::kMaxCapacity),
             flight::kMaxCapacity);
   EXPECT_TRUE(testing::internal::GetCapturedStderr().empty());
   testing::internal::CaptureStderr();
-  EXPECT_EQ(flight::env_u64("SPLICE_FLIGHT_CAPACITY", above.c_str(), 5u,
+  EXPECT_EQ(count_of("SPLICE_FLIGHT_CAPACITY", above.c_str(), 5u,
                             flight::kMaxCapacity),
             5u);
-  EXPECT_EQ(flight::env_u64("SPLICE_FLIGHT_CAPACITY", "1000000000", 5u,
+  EXPECT_EQ(count_of("SPLICE_FLIGHT_CAPACITY", "1000000000", 5u,
                             flight::kMaxCapacity),
             5u);
   std::string err = testing::internal::GetCapturedStderr();
@@ -493,11 +508,11 @@ TEST(FlightEnvTest, CapacityAboveCeilingFallsBack) {
 
 TEST(FlightEnvTest, ValidAndUnsetValuesParseSilently) {
   testing::internal::CaptureStderr();
-  EXPECT_EQ(flight::env_u64("SPLICE_FLIGHT_CAPACITY", "4096", 5u), 4096u);
+  EXPECT_EQ(count_of("SPLICE_FLIGHT_CAPACITY", "4096", 5u), 4096u);
   EXPECT_DOUBLE_EQ(
-      flight::env_double("SPLICE_FLIGHT_SLOW_MS", "250.5", 0), 250.5);
-  EXPECT_EQ(flight::env_u64("SPLICE_FLIGHT_CAPACITY", nullptr, 5u), 5u);
-  EXPECT_DOUBLE_EQ(flight::env_double("SPLICE_FLIGHT_SLOW_MS", nullptr, 3), 3);
+      number_of("SPLICE_FLIGHT_SLOW_MS", "250.5", 0), 250.5);
+  EXPECT_EQ(count_of("SPLICE_FLIGHT_CAPACITY", nullptr, 5u), 5u);
+  EXPECT_DOUBLE_EQ(number_of("SPLICE_FLIGHT_SLOW_MS", nullptr, 3), 3);
   EXPECT_TRUE(testing::internal::GetCapturedStderr().empty());
 }
 

@@ -12,10 +12,13 @@
 
 #include "src/asp/asp.hpp"
 #include "src/concretize/concretizer.hpp"
+#include "src/support/flight.hpp"
 #include "src/support/json.hpp"
+#include "src/support/strings.hpp"
 #include "src/support/trace.hpp"
 #include "src/workload/caches.hpp"
 #include "src/workload/radiuss.hpp"
+#include "tests/scoped_env.hpp"
 
 namespace {
 
@@ -203,23 +206,29 @@ TEST(MetricsTest, HistogramP95) {
       j.find("histograms")->find("latency")->find("p95")->as_double(), 95.0);
 }
 
+/// env_path reading `var` set to `value` (nullptr: unset).
+std::string path_of(const char* var, const char* value) {
+  testing_env::ScopedEnv env(var, value);
+  return env_path(var);
+}
+
 TEST(EnvExportTest, BlankPathWarnsInsteadOfSilentlyDropping) {
   testing::internal::CaptureStderr();
-  EXPECT_FALSE(trace::env_export_path_ok("SPLICE_TRACE", "  "));
+  EXPECT_EQ(path_of("SPLICE_TRACE", "  "), "");
   std::string err = testing::internal::GetCapturedStderr();
   EXPECT_NE(err.find("SPLICE_TRACE"), std::string::npos);
   EXPECT_NE(err.find("warning"), std::string::npos);
 
   testing::internal::CaptureStderr();
-  EXPECT_FALSE(trace::env_export_path_ok("SPLICE_TRACE_STATS", ""));
+  EXPECT_EQ(path_of("SPLICE_TRACE_STATS", ""), "");
   err = testing::internal::GetCapturedStderr();
   EXPECT_NE(err.find("SPLICE_TRACE_STATS"), std::string::npos);
 }
 
 TEST(EnvExportTest, UnsetAndUsableValuesStaySilent) {
   testing::internal::CaptureStderr();
-  EXPECT_FALSE(trace::env_export_path_ok("SPLICE_TRACE", nullptr));
-  EXPECT_TRUE(trace::env_export_path_ok("SPLICE_TRACE", "/tmp/out.json"));
+  EXPECT_EQ(path_of("SPLICE_TRACE", nullptr), "");
+  EXPECT_EQ(path_of("SPLICE_TRACE", "/tmp/out.json"), "/tmp/out.json");
   EXPECT_TRUE(testing::internal::GetCapturedStderr().empty());
 }
 
@@ -232,9 +241,9 @@ TEST(MetricsTest, SingleSampleHistogram) {
   EXPECT_DOUBLE_EQ(h.p99, 3.5);
 }
 
-/// Pigeonhole (n+1 pigeons, n holes) is UNSAT and forces enough CDCL
-/// conflicts and restarts that the progress stream must fire.
-TEST(ProgressTest, SolverEventsOnHardInstance) {
+/// Pigeonhole (n+1 pigeons, n holes): UNSAT, and hard enough that the CDCL
+/// core restarts and ticks its conflict counter.
+asp::Program pigeonhole_program() {
   const int holes = 7;
   std::string text;
   for (int h = 0; h < holes; ++h) text += "hole(h" + std::to_string(h) + ").\n";
@@ -242,23 +251,55 @@ TEST(ProgressTest, SolverEventsOnHardInstance) {
     text += "1 { at(p" + std::to_string(p) + ", H) : hole(H) } 1.\n";
   }
   text += ":- at(P1, H), at(P2, H), P1 < P2.\n";
-  asp::Program program = asp::parse_program(text);
+  return asp::parse_program(text);
+}
+
+/// Solve `program` inside a request on the global recorder and return the
+/// point events that request received.
+std::vector<flight::Event> solve_events(const asp::Program& program,
+                                        asp::SolveResult& result) {
+  flight::Recorder& rec = flight::Recorder::global();
+  std::uint32_t id = 0;
+  {
+    flight::RequestScope request("progress test", rec);
+    id = request.id();
+    result = asp::solve_program(program);
+  }
+  EXPECT_NE(id, 0u) << "the global recorder is off";
+  std::vector<flight::Event> out;
+  for (const flight::Event& ev : rec.events()) {
+    if (ev.request == id && ev.kind > flight::EventKind::PhaseEnd) {
+      out.push_back(ev);
+    }
+  }
+  return out;
+}
+
+/// The hard instance's search must report restarts and conflict ticks.
+TEST(ProgressTest, SolverEventsOnHardInstance) {
+  asp::SolveResult result;
+  std::vector<flight::Event> events =
+      solve_events(pigeonhole_program(), result);
 
   std::uint64_t restarts = 0, conflict_ticks = 0, models = 0;
-  std::uint64_t last_conflicts = 0;
+  std::int64_t last_conflicts = 0;
   bool monotonic = true;
-  asp::SolveOptions opts;
-  opts.progress = [&](const asp::SolveEvent& ev) {
+  for (const flight::Event& ev : events) {
+    std::int64_t conflicts = ev.a;
     switch (ev.kind) {
-      case asp::SolveEvent::Kind::SatRestart: ++restarts; break;
-      case asp::SolveEvent::Kind::SatConflicts: ++conflict_ticks; break;
-      case asp::SolveEvent::Kind::ModelFound: ++models; break;
-      default: break;
+      case flight::EventKind::SatRestart: ++restarts; break;
+      case flight::EventKind::SatConflicts: ++conflict_ticks; break;
+      case flight::EventKind::ModelFound:
+        ++models;
+        conflicts = ev.b;
+        break;
+      case flight::EventKind::LoopNogood: break;
+      default: continue;
     }
-    if (ev.conflicts < last_conflicts) monotonic = false;
-    last_conflicts = ev.conflicts;
-  };
-  asp::SolveResult result = asp::solve_program(program, opts);
+    EXPECT_EQ(ev.phase, flight::Phase::Solve);
+    if (conflicts < last_conflicts) monotonic = false;
+    last_conflicts = conflicts;
+  }
   EXPECT_FALSE(result.sat);
   EXPECT_EQ(models, 0u);
   EXPECT_GT(result.stats.conflicts, 0u);
@@ -268,7 +309,7 @@ TEST(ProgressTest, SolverEventsOnHardInstance) {
   EXPECT_TRUE(monotonic) << "cumulative conflict counts went backwards";
 }
 
-/// Optimization instances additionally stream models, bound improvements
+/// Optimization instances additionally report models, bound improvements
 /// and per-priority level completion.
 TEST(ProgressTest, OptimizationEvents) {
   const int n = 8;
@@ -283,23 +324,73 @@ TEST(ProgressTest, OptimizationEvents) {
   text += "#minimize { 1@1, V : in(V) }.\n";
   asp::Program program = asp::parse_program(text);
 
+  asp::SolveResult result;
   std::uint64_t models = 0, bounds = 0, levels = 0;
-  asp::SolveOptions opts;
-  opts.progress = [&](const asp::SolveEvent& ev) {
+  for (const flight::Event& ev : solve_events(program, result)) {
     switch (ev.kind) {
-      case asp::SolveEvent::Kind::ModelFound: ++models; break;
-      case asp::SolveEvent::Kind::BoundImproved: ++bounds; break;
-      case asp::SolveEvent::Kind::LevelDone: ++levels; break;
+      case flight::EventKind::ModelFound: ++models; break;
+      case flight::EventKind::BoundImproved: ++bounds; break;
+      case flight::EventKind::LevelDone: ++levels; break;
       default: break;
     }
-  };
-  asp::SolveResult result = asp::solve_program(program, opts);
+  }
   ASSERT_TRUE(result.sat);
   EXPECT_GE(models, 1u);
   EXPECT_EQ(levels, 1u);
   EXPECT_EQ(result.stats.models_enumerated, models);
   ASSERT_EQ(result.model.costs.size(), 1u);
   EXPECT_EQ(result.model.costs[0].second, n / 2);  // optimal cover of a cycle
+}
+
+/// The tracer mirrors solver events on its own: with the recorder off, the
+/// instants still appear, named by kind_name in the event's phase category.
+TEST(ProgressTest, TracerMirrorsSolverEventsWithRecorderOff) {
+  Tracer& tracer = Tracer::global();
+  flight::Recorder& rec = flight::Recorder::global();
+  const bool recording = rec.enabled();
+  const std::uint64_t recorded = rec.total_events();
+  tracer.clear();
+  tracer.set_enabled(true);
+  rec.set_enabled(false);
+  asp::SolveResult result = asp::solve_program(pigeonhole_program());
+  rec.set_enabled(recording);
+  tracer.set_enabled(false);
+
+  EXPECT_FALSE(result.sat);
+  EXPECT_EQ(rec.total_events(), recorded);
+  std::uint64_t restarts = 0;
+  for (const TraceEvent& ev : tracer.events()) {
+    if (ev.phase != TraceEvent::Phase::Instant) continue;
+    if (ev.name.rfind("sat.", 0) != 0 && ev.name.rfind("asp.", 0) != 0) {
+      continue;  // ground.done belongs to the ground phase
+    }
+    EXPECT_EQ(ev.category, "solve") << ev.name;
+    ASSERT_GE(ev.args.size(), 3u) << ev.name;
+    EXPECT_EQ(ev.args[0].first, "req");
+    EXPECT_EQ(ev.args[0].second.as_int(), 0);  // no request: recorder off
+    EXPECT_EQ(ev.args[1].first, "a");
+    EXPECT_EQ(ev.args[2].first, "b");
+    if (ev.name == "sat.restart") ++restarts;
+  }
+  EXPECT_EQ(restarts, result.stats.restarts);
+  tracer.clear();
+}
+
+/// With both sinks off, a solve records nothing anywhere.
+TEST(ProgressTest, NothingRecordedWithBothSinksOff) {
+  Tracer& tracer = Tracer::global();
+  flight::Recorder& rec = flight::Recorder::global();
+  const bool recording = rec.enabled();
+  tracer.clear();
+  tracer.set_enabled(false);
+  rec.set_enabled(false);
+  const std::uint64_t recorded = rec.total_events();
+  asp::SolveResult result = asp::solve_program(pigeonhole_program());
+  rec.set_enabled(recording);
+
+  EXPECT_GT(result.stats.restarts, 0u);
+  EXPECT_EQ(rec.total_events(), recorded);
+  EXPECT_TRUE(tracer.events().empty());
 }
 
 TEST(TracerTest, MultithreadedSmoke) {

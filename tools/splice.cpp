@@ -703,7 +703,8 @@ int flight_show(const std::string& file, std::int64_t only_request,
 }
 
 /// Phase begin/end pairs become "X" complete events (per-thread stacks);
-/// everything else becomes a thread-scoped "i" instant.
+/// everything else becomes a thread-scoped "i" instant in its phase's
+/// category, the instant a live trace gets from Recorder::emit.
 int flight_chrome(const std::string& file, const std::string& out_path) {
   auto doc = load(file);
   if (!doc) return 1;
@@ -751,8 +752,8 @@ int flight_chrome(const std::string& file, const std::string& out_path) {
       args["b"] = static_cast<std::int64_t>(num(ev, "b"));
       std::string detail = str(ev, "detail");
       if (!detail.empty()) args["detail"] = detail;
-      out.push_back(
-          chrome::instant_event(kind, "flight", t, tid, std::move(args)));
+      out.push_back(chrome::instant_event(kind, str(ev, "phase"), t, tid,
+                                          std::move(args)));
     }
   }
   bool ok = write_output("flight", out_path, [&] {
